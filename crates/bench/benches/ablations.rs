@@ -1,6 +1,6 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //! exact reuse timers vs RFC 2439 reuse lists, exact `exp()` decay vs
-//! table lookup vs memoized lookup, the per-key-`Damper` map vs the
+//! table lookup, the per-key-`Damper` map vs the
 //! SoA `DamperStore` on a full-damping pulse workload, plain vs RCN vs
 //! selective penalty filters, and topology generation costs.
 
@@ -8,10 +8,7 @@ use std::collections::HashMap;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rfd_bgp::{NetworkConfig, PenaltyFilter};
-use rfd_core::{
-    Damper, DamperStore, DampingParams, DecayTable, MemoizedDecay, ReuseCheck, ReuseList,
-    UpdateKind,
-};
+use rfd_core::{Damper, DamperStore, DampingParams, DecayTable, ReuseCheck, ReuseList, UpdateKind};
 use rfd_experiments::{run_workload, TopologyKind};
 use rfd_sim::{SimDuration, SimTime};
 use rfd_topology::{internet_like, mesh_torus, Relationships};
@@ -105,7 +102,6 @@ fn bench_decay_compute(c: &mut Criterion) {
     let params = DampingParams::cisco();
     let tick = SimDuration::from_secs(1);
     let table = DecayTable::new(&params, tick, 4096);
-    let memo = MemoizedDecay::new(DecayTable::new(&params, tick, 4096));
     // 64 irregular intervals, 1 s .. ~9.4 h (some beyond the table,
     // forcing the powi chunk path).
     let dts: Vec<SimDuration> = (0..64u64)
@@ -133,13 +129,6 @@ fn bench_decay_compute(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % ticks.len();
             black_box(table.decay_milli(1_000_000, ticks[i]))
-        });
-    });
-    group.bench_function("memoized_lookup", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            i = (i + 1) % ticks.len();
-            black_box(memo.factor_at_ticks(ticks[i]))
         });
     });
     group.finish();

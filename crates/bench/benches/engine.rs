@@ -1,11 +1,11 @@
-//! Microbenchmarks of the simulation kernel: agenda operations and the
-//! engine loop.
+//! Microbenchmarks of the simulation kernel: event-queue operations and
+//! a shard engine's pop/schedule loop.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rfd_sim::{Context, DetRng, Engine, Scheduler, SimDuration, SimTime, World};
+use rfd_sim::{event_key, DetRng, ShardEngine, SimDuration, SimTime, TimerWheel};
 
-fn bench_scheduler(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scheduler/schedule_pop");
+fn bench_wheel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wheel/schedule_pop");
     for n in [100usize, 1_000, 10_000] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let mut rng = DetRng::from_seed(7);
@@ -13,12 +13,12 @@ fn bench_scheduler(c: &mut Criterion) {
                 .map(|_| SimTime::from_micros(rng.next_u64() % 1_000_000))
                 .collect();
             b.iter(|| {
-                let mut s = Scheduler::new();
+                let mut w = TimerWheel::new();
                 for (i, &t) in times.iter().enumerate() {
-                    s.schedule(t, i);
+                    w.schedule_keyed(t, i as u64, i);
                 }
                 let mut total = 0usize;
-                while let Some((_, e)) = s.pop() {
+                while let Some((_, _, e)) = w.pop_keyed() {
                     total += e;
                 }
                 black_box(total)
@@ -26,55 +26,34 @@ fn bench_scheduler(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    c.bench_function("scheduler/cancel_heavy", |b| {
-        b.iter(|| {
-            let mut s = Scheduler::new();
-            let ids: Vec<_> = (0..1000u64)
-                .map(|i| s.schedule(SimTime::from_micros(i), i))
-                .collect();
-            for id in ids.iter().step_by(2) {
-                s.cancel(*id);
-            }
-            let mut count = 0;
-            while s.pop().is_some() {
-                count += 1;
-            }
-            black_box(count)
-        });
-    });
 }
 
-/// A world that fans out: each event schedules two children until a
-/// global budget is exhausted — a stress pattern similar to update
-/// propagation bursts.
-struct Fanout {
-    remaining: u64,
-}
-
-impl World for Fanout {
-    type Event = u32;
-    fn handle(&mut self, ctx: &mut Context<'_, u32>, depth: u32) {
-        if self.remaining == 0 {
-            return;
+/// Fans out: each event schedules two children until a global budget is
+/// exhausted — a stress pattern similar to update propagation bursts.
+fn fanout(budget: u64) -> u64 {
+    let mut engine = ShardEngine::new();
+    let mut seq = 0;
+    engine.schedule(SimTime::ZERO, event_key(0, seq), 40u32);
+    let mut remaining = budget;
+    while let Some((now, _, depth)) = engine.pop_before(SimTime::MAX) {
+        if remaining == 0 {
+            continue;
         }
-        self.remaining -= 1;
+        remaining -= 1;
         if depth > 0 {
-            ctx.schedule_in(SimDuration::from_micros(3), depth - 1);
-            ctx.schedule_in(SimDuration::from_micros(5), depth - 1);
+            for delay in [3, 5] {
+                seq += 1;
+                let at = now + SimDuration::from_micros(delay);
+                engine.schedule(at, event_key(0, seq), depth - 1);
+            }
         }
     }
+    engine.processed()
 }
 
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("engine/fanout_100k_events", |b| {
-        b.iter(|| {
-            let mut engine = Engine::new();
-            engine.prime(SimTime::ZERO, 40);
-            let mut world = Fanout { remaining: 100_000 };
-            let (_, stats) = engine.run(&mut world);
-            black_box(stats.events_processed)
-        });
+        b.iter(|| black_box(fanout(100_000)));
     });
 }
 
@@ -91,5 +70,5 @@ fn bench_rng(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_scheduler, bench_engine, bench_rng);
+criterion_group!(benches, bench_wheel, bench_engine, bench_rng);
 criterion_main!(benches);

@@ -42,8 +42,8 @@ use rfd_core::{
 };
 use rfd_metrics::{ConvergenceTracker, MessageCounter, Trace, TraceEventKind, TraceSink, VecSink};
 use rfd_sim::{
-    event_key, DetRng, Engine, EpochBarrier, RunOutcome, ShardEngine, SimDuration, SimTime,
-    WindowPlan, INJECTOR_SRC,
+    event_key, DetRng, EpochBarrier, RunOutcome, ShardEngine, SimDuration, SimTime, WindowPlan,
+    INJECTOR_SRC,
 };
 use rfd_topology::{Graph, NodeId};
 
@@ -55,6 +55,9 @@ use crate::router::{Router, RouterConfig, RouterOutput};
 
 #[path = "snapshot.rs"]
 pub mod snapshot;
+
+/// Cap on events per run; a guard against runaway models.
+const EVENT_BUDGET: u64 = 500_000_000;
 
 /// Events exchanged through the simulation shards.
 #[derive(Debug, Clone, Copy)]
@@ -1016,8 +1019,7 @@ impl<S: TraceSink> Network<S> {
     /// the canonical-merge construction.
     fn drive(&mut self) -> (RunOutcome, u64) {
         let obs_span = rfd_obs::is_enabled().then(|| rfd_obs::span("sim.run"));
-        let budget = Engine::<NetEvent>::DEFAULT_EVENT_BUDGET;
-        let mut barrier = EpochBarrier::new(self.lookahead, self.horizon, budget);
+        let mut barrier = EpochBarrier::new(self.lookahead, self.horizon, EVENT_BUDGET);
         let before = self.processed;
         let outcome = if self.shards.len() == 1 {
             self.drive_sequential(&mut barrier, before)

@@ -202,52 +202,6 @@ impl DecayTable {
     }
 }
 
-/// A [`DecayTable`] with a one-entry memo of the last `(ticks, factor)`
-/// lookup.
-///
-/// Boundary-driven workloads decay whole populations by the same
-/// elapsed-tick count over and over; the memo turns the common repeated
-/// lookup (and any beyond-table `powi`) into a compare. Exists for the
-/// ablation bench comparing exact `exp()` vs table vs memoized table.
-#[derive(Debug, Clone)]
-pub struct MemoizedDecay {
-    table: DecayTable,
-    last: std::cell::Cell<(u64, f64)>,
-}
-
-impl MemoizedDecay {
-    /// Wraps a table with an empty memo.
-    pub fn new(table: DecayTable) -> Self {
-        MemoizedDecay {
-            table,
-            last: std::cell::Cell::new((0, 1.0)),
-        }
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &DecayTable {
-        &self.table
-    }
-
-    /// Decay factor over `ticks`, served from the memo when the tick
-    /// count repeats.
-    #[inline]
-    pub fn factor_at_ticks(&self, ticks: u64) -> f64 {
-        let (memo_ticks, memo_factor) = self.last.get();
-        if ticks == memo_ticks {
-            return memo_factor;
-        }
-        let factor = self.table.factor_at_ticks(ticks);
-        self.last.set((ticks, factor));
-        factor
-    }
-
-    /// Decay factor over `dt`, quantised like the underlying table.
-    pub fn decay_factor(&self, dt: SimDuration) -> f64 {
-        self.factor_at_ticks(self.table.ticks_for(dt))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,24 +298,6 @@ mod tests {
                 "ticks={ticks}: {fast} vs {slow}"
             );
         }
-    }
-
-    #[test]
-    fn memoized_table_serves_repeated_ticks() {
-        let params = cisco();
-        let memo = MemoizedDecay::new(DecayTable::new(&params, SimDuration::from_secs(10), 100));
-        for _ in 0..3 {
-            for ticks in [5u64, 5, 5, 90, 90, 5, 250] {
-                let direct = memo.table().factor_at_ticks(ticks);
-                assert_eq!(memo.factor_at_ticks(ticks), direct);
-            }
-        }
-        let dt = SimDuration::from_secs(73);
-        assert_eq!(
-            memo.decay_factor(dt),
-            memo.table().decay_factor(dt),
-            "duration path quantises like the table"
-        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use analytic::{
     FlapPattern, IntendedBehavior,
 };
 pub use damper::{ChargeOutcome, Damper, ReuseCheck};
-pub use decay_table::{DecayTable, MemoizedDecay};
+pub use decay_table::DecayTable;
 pub use ledger::{
     CountingLedger, LedgerEvent, LedgerFilter, LedgerRecord, LedgerSink, NullLedger, SharedLedger,
     VecLedger,

@@ -1,147 +1,58 @@
-//! The event agenda: a priority queue of timestamped events.
+//! The reference event queue the timer wheel is pinned against.
 //!
-//! Events scheduled for the same instant are delivered in the order they
-//! were scheduled (FIFO). The BGP model relies on this: a router that
-//! sends two updates to the same peer at the same instant must have them
-//! processed in order.
-//!
-//! [`Scheduler`] is backed by the hierarchical timer wheel
-//! ([`TimerWheel`](crate::TimerWheel)), which absorbs the MRAI/reuse
-//! timer flood with O(1) scheduling and cancellation.
-//! [`HeapScheduler`] is the original `BinaryHeap` implementation, kept
-//! as the executable reference model the property tests pin the wheel
-//! against.
+//! [`HeapScheduler`] is a plain `BinaryHeap` popping in `(time, key)`
+//! order — the same contract as the keyed
+//! [`TimerWheel`](crate::TimerWheel), in the simplest form that can
+//! obviously be trusted. The property tests drive both with identical
+//! operation streams and require identical pops.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-use crate::wheel::TimerWheel;
-
-/// Opaque handle to a scheduled event, used for cancellation.
-///
-/// Handles are unique across the lifetime of a [`Scheduler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(pub(crate) u64);
-
-/// A priority queue of events ordered by `(time, insertion order)`.
-///
-/// # Examples
-///
-/// ```
-/// use rfd_sim::{Scheduler, SimTime};
-///
-/// let mut agenda = Scheduler::new();
-/// agenda.schedule(SimTime::from_secs(2), "late");
-/// agenda.schedule(SimTime::from_secs(1), "early");
-/// let (t, ev) = agenda.pop().unwrap();
-/// assert_eq!((t, ev), (SimTime::from_secs(1), "early"));
-/// ```
-#[derive(Debug)]
-pub struct Scheduler<E> {
-    wheel: TimerWheel<E>,
-}
-
-impl<E> Default for Scheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Scheduler<E> {
-    /// Creates an empty agenda.
-    pub fn new() -> Self {
-        Scheduler {
-            wheel: TimerWheel::new(),
-        }
-    }
-
-    /// Schedules `event` at absolute time `at` and returns a handle that
-    /// can later be passed to [`Scheduler::cancel`].
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
-        EventId(self.wheel.schedule(at, event))
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// O(1) via the wheel's generation stamps: the slab entry is
-    /// invalidated in place, so there is no tombstone set to compact.
-    /// Returns `true` the first time a live handle is cancelled,
-    /// `false` for repeat or unknown handles (events already delivered
-    /// have a bumped generation and cannot resolve).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.wheel.cancel(id.0)
-    }
-
-    /// Removes and returns the earliest live event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.wheel.pop()
-    }
-
-    /// Returns the timestamp of the earliest live event without removing
-    /// it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.wheel.peek_time()
-    }
-
-    /// Number of live events still scheduled.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Returns true if no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-
-    /// Discards every scheduled event.
-    pub fn clear(&mut self) {
-        self.wheel.clear();
-    }
-}
 
 #[derive(Debug)]
 struct Entry<E> {
     at: SimTime,
-    seq: u64,
+    key: u64,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        (self.at, self.key) == (other.at, other.key)
     }
 }
 impl<E> Eq for Entry<E> {}
 
 impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest (time, seq)
-        // pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.key).cmp(&(other.at, other.key))
     }
 }
 
-/// The original `BinaryHeap` agenda with lazy tombstone cancellation.
+/// A binary-heap event queue ordered by `(time, key)`: the test oracle
+/// for [`TimerWheel`](crate::TimerWheel).
 ///
-/// Functionally identical to [`Scheduler`]; kept as the reference model
-/// for the wheel's property tests and for A/B benchmarking. Handles
-/// issued by one implementation are not interchangeable with the
-/// other's.
+/// # Examples
+///
+/// ```
+/// use rfd_sim::{HeapScheduler, SimTime};
+///
+/// let mut agenda = HeapScheduler::new();
+/// agenda.schedule_keyed(SimTime::from_secs(2), 0, "late");
+/// agenda.schedule_keyed(SimTime::from_secs(1), 9, "early");
+/// assert_eq!(agenda.pop_keyed(), Some((SimTime::from_secs(1), 9, "early")));
+/// ```
 #[derive(Debug)]
 pub struct HeapScheduler<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    cancelled: std::collections::HashSet<u64>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
 }
 
 impl<E> Default for HeapScheduler<E> {
@@ -151,101 +62,38 @@ impl<E> Default for HeapScheduler<E> {
 }
 
 impl<E> HeapScheduler<E> {
-    /// Creates an empty agenda.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         HeapScheduler {
             heap: BinaryHeap::new(),
-            next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
         }
     }
 
-    /// Schedules `event` at absolute time `at` and returns a handle that
-    /// can later be passed to [`HeapScheduler::cancel`].
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-        EventId(seq)
+    /// Schedules `event` at `at` under ordering key `key`.
+    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
+        self.heap.push(Reverse(Entry { at, key, event }));
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Cancellation is lazy: the entry stays in the heap and is discarded
-    /// when it reaches the front. Returns `true` the first time a live
-    /// handle is cancelled, `false` for repeat or unknown handles (events
-    /// already delivered cannot be distinguished from unknown ones).
-    ///
-    /// Under cancel-heavy schedules (MRAI reprogramming, reuse-timer
-    /// churn) the tombstone set would otherwise grow without bound, so
-    /// once it outnumbers half the heap the agenda compacts: cancelled
-    /// entries are filtered out and the heap rebuilt in O(n).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        let fresh = self.cancelled.insert(id.0);
-        if fresh && self.cancelled.len() * 2 > self.heap.len() {
-            self.compact();
-        }
-        fresh
+    /// Removes and returns the earliest event with its key.
+    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
+        self.heap
+            .pop()
+            .map(|Reverse(Entry { at, key, event })| (at, key, event))
     }
 
-    /// Drops every tombstoned entry and rebuilds the heap. Entries keep
-    /// their sequence numbers, so `(time, FIFO)` pop order is
-    /// unaffected. Also clears stale tombstones for events that were
-    /// already delivered (cancelling a delivered event's handle would
-    /// otherwise skew [`HeapScheduler::len`] forever).
-    fn compact(&mut self) {
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        self.heap = entries
-            .into_iter()
-            .filter(|e| !self.cancelled.contains(&e.seq))
-            .collect();
-        self.cancelled.clear();
+    /// The timestamp of the earliest event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(entry)| entry.at)
     }
 
-    /// Removes and returns the earliest live event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            return Some((entry.at, entry.event));
-        }
-        None
-    }
-
-    /// Returns the timestamp of the earliest live event without removing
-    /// it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop cancelled entries from the front so the peeked entry is live.
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(entry.at);
-            }
-        }
-        None
-    }
-
-    /// Number of live events still scheduled.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
-    /// Returns true if no live events remain.
+    /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discards every scheduled event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.cancelled.clear();
+        self.heap.is_empty()
     }
 }
 
@@ -254,198 +102,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pops_in_time_order() {
-        let mut s = Scheduler::new();
-        s.schedule(SimTime::from_secs(3), 'c');
-        s.schedule(SimTime::from_secs(1), 'a');
-        s.schedule(SimTime::from_secs(2), 'b');
-        let order: Vec<char> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c']);
-    }
-
-    #[test]
-    fn same_time_is_fifo() {
-        let mut s = Scheduler::new();
-        let t = SimTime::from_secs(5);
-        for i in 0..10 {
-            s.schedule(t, i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cancel_removes_event() {
-        let mut s = Scheduler::new();
-        let a = s.schedule(SimTime::from_secs(1), "a");
-        s.schedule(SimTime::from_secs(2), "b");
-        assert!(s.cancel(a));
-        assert!(!s.cancel(a), "double cancel reports false");
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.pop().unwrap().1, "b");
+    fn pops_in_time_then_key_order() {
+        let mut s = HeapScheduler::new();
+        s.schedule_keyed(SimTime::from_secs(3), 0, 'd');
+        s.schedule_keyed(SimTime::from_secs(1), 5, 'b');
+        s.schedule_keyed(SimTime::from_secs(1), 2, 'a');
+        s.schedule_keyed(SimTime::from_secs(2), 1, 'c');
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.peek_time(), Some(SimTime::from_secs(1)));
+        let order: Vec<char> = std::iter::from_fn(|| s.pop_keyed().map(|(_, _, e)| e)).collect();
+        assert_eq!(order, vec!['a', 'b', 'c', 'd']);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn cancel_unknown_handle_is_false() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        assert!(!s.cancel(EventId(42)));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut s = Scheduler::new();
-        let a = s.schedule(SimTime::from_secs(1), "a");
-        s.schedule(SimTime::from_secs(2), "b");
-        s.cancel(a);
-        assert_eq!(s.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(s.pop().unwrap().1, "b");
-        assert_eq!(s.peek_time(), None);
-    }
-
-    #[test]
-    fn clear_empties_agenda() {
-        let mut s = Scheduler::new();
-        s.schedule(SimTime::from_secs(1), 1);
-        let id = s.schedule(SimTime::from_secs(2), 2);
-        s.cancel(id);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.pop(), None);
-    }
-
-    #[test]
-    fn cancel_heavy_schedules_stay_compact() {
-        // Schedule 1000 events, cancel 999: the wheel invalidates slab
-        // entries in place, so `len` tracks live entries exactly and
-        // the lone survivor pops.
-        let mut s = Scheduler::new();
-        let ids: Vec<_> = (0..1000)
-            .map(|i| s.schedule(SimTime::from_secs(i), i))
-            .collect();
-        for id in ids.iter().skip(1) {
-            s.cancel(*id);
-        }
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.pop(), Some((SimTime::from_secs(0), 0)));
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn cancellation_preserves_time_and_fifo_order() {
-        let mut s = Scheduler::new();
-        let t = SimTime::from_secs(7);
-        let mut keep = Vec::new();
-        for i in 0..400 {
-            let id = s.schedule(t, i);
-            if i % 5 == 0 {
-                keep.push(i);
-            } else {
-                s.cancel(id);
-            }
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, keep, "FIFO order must survive cancellations");
-    }
-
-    #[test]
-    fn cancelling_a_delivered_event_does_not_skew_len() {
-        let mut s = Scheduler::new();
-        let a = s.schedule(SimTime::from_secs(1), "a");
-        s.schedule(SimTime::from_secs(2), "b");
-        assert_eq!(s.pop().unwrap().1, "a");
-        // `a` was already delivered: its generation stamp is stale, so
-        // the cancel is a no-op.
-        s.cancel(a);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.pop().unwrap().1, "b");
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut s = Scheduler::new();
-        let ids: Vec<_> = (0..5)
-            .map(|i| s.schedule(SimTime::from_secs(i), i))
-            .collect();
-        assert_eq!(s.len(), 5);
-        s.cancel(ids[1]);
-        s.cancel(ids[3]);
-        assert_eq!(s.len(), 3);
-        let survivors: Vec<u64> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        assert_eq!(survivors, vec![0, 2, 4]);
-    }
-
-    mod heap_reference {
-        use super::*;
-
-        #[test]
-        fn behaves_like_the_wheel_on_basics() {
-            let mut s = HeapScheduler::new();
-            s.schedule(SimTime::from_secs(3), 'c');
-            let b = s.schedule(SimTime::from_secs(2), 'b');
-            s.schedule(SimTime::from_secs(1), 'a');
-            s.cancel(b);
-            let order: Vec<char> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec!['a', 'c']);
-        }
-
-        #[test]
-        fn cancel_heavy_schedules_compact_tombstones() {
-            // Schedule 1000 events, cancel 999 of them: without
-            // compaction the tombstone set would hold ~999 entries; with
-            // it, both the set and the heap shrink as cancellations
-            // exceed half the heap.
-            let mut s = HeapScheduler::new();
-            let ids: Vec<_> = (0..1000)
-                .map(|i| s.schedule(SimTime::from_secs(i), i))
-                .collect();
-            for id in ids.iter().skip(1) {
-                s.cancel(*id);
-            }
-            assert_eq!(s.len(), 1);
-            assert!(
-                s.cancelled.len() <= s.heap.len(),
-                "tombstones ({}) exceed half the heap ({})",
-                s.cancelled.len(),
-                s.heap.len()
-            );
-            assert!(
-                s.heap.len() < 10,
-                "compaction left {} dead entries in the heap",
-                s.heap.len()
-            );
-            assert_eq!(s.pop(), Some((SimTime::from_secs(0), 0)));
-            assert!(s.is_empty());
-        }
-
-        #[test]
-        fn compaction_preserves_time_and_fifo_order() {
-            let mut s = HeapScheduler::new();
-            let t = SimTime::from_secs(7);
-            let mut keep = Vec::new();
-            for i in 0..400 {
-                let id = s.schedule(t, i);
-                if i % 5 == 0 {
-                    keep.push(i);
-                } else {
-                    s.cancel(id);
-                }
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, keep, "FIFO order must survive heap rebuilds");
-        }
-
-        #[test]
-        fn cancelling_a_delivered_event_does_not_skew_len() {
-            let mut s = HeapScheduler::new();
-            let a = s.schedule(SimTime::from_secs(1), "a");
-            s.schedule(SimTime::from_secs(2), "b");
-            assert_eq!(s.pop().unwrap().1, "a");
-            // `a` was already delivered: the stale tombstone is purged
-            // by the next compaction instead of undercounting forever.
-            s.cancel(a);
-            assert_eq!(s.len(), 1);
-            assert_eq!(s.pop().unwrap().1, "b");
-        }
     }
 }

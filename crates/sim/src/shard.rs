@@ -50,10 +50,9 @@ pub fn event_key(src: u32, seq: u64) -> u64 {
     (u64::from(src) << 32) | seq
 }
 
-/// One shard's event queue and clock: the per-shard half of the
-/// [`Engine`](crate::Engine)/`Scheduler` pair, driven from outside by
-/// an [`EpochBarrier`] window plan instead of a self-contained run
-/// loop.
+/// One shard's event queue and clock, driven from outside by an
+/// [`EpochBarrier`] window plan. A single-shard simulation is one
+/// `ShardEngine` whose windows the barrier plans back to back.
 #[derive(Debug)]
 pub struct ShardEngine<E> {
     wheel: TimerWheel<E>,
@@ -78,20 +77,14 @@ impl<E> ShardEngine<E> {
     }
 
     /// Schedules `event` at `at` under the canonical key (see
-    /// [`event_key`]). Returns a raw id usable with
-    /// [`cancel`](Self::cancel).
-    pub fn schedule(&mut self, at: SimTime, key: u64, event: E) -> u64 {
+    /// [`event_key`]).
+    pub fn schedule(&mut self, at: SimTime, key: u64, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduled into the past: {at} < {}",
             self.now
         );
-        self.wheel.schedule_keyed(at, key, event)
-    }
-
-    /// Cancels a previously scheduled event by raw id. O(1).
-    pub fn cancel(&mut self, id: u64) -> bool {
-        self.wheel.cancel(id)
+        self.wheel.schedule_keyed(at, key, event);
     }
 
     /// The earliest pending event time, if any.
@@ -138,9 +131,10 @@ impl<E> ShardEngine<E> {
         events
     }
 
-    /// Re-schedules events drained by [`drain_pending`] (or decoded
-    /// from a snapshot). Events may lie at or after arbitrary times —
-    /// unlike [`schedule`](Self::schedule) this path does not assert
+    /// Re-schedules events drained by
+    /// [`drain_pending`](Self::drain_pending) (or decoded from a
+    /// snapshot). Events may lie at or after arbitrary times — unlike
+    /// [`schedule`](Self::schedule) this path does not assert
     /// against the clock, because a restored clock is set separately
     /// via [`set_clock`](Self::set_clock).
     pub fn restore_pending(&mut self, events: Vec<(SimTime, u64, E)>) {
@@ -161,7 +155,7 @@ impl<E> ShardEngine<E> {
         self.processed
     }
 
-    /// Number of pending (live) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.wheel.len()
     }
@@ -184,9 +178,20 @@ pub enum WindowPlan {
     /// No shard has pending events: the simulation is quiescent.
     Quiescent,
     /// The earliest pending event lies beyond the horizon; it stays
-    /// queued (mirroring `Engine`'s horizon semantics).
+    /// queued.
     HorizonReached,
     /// The event budget was exhausted.
+    BudgetExhausted,
+}
+
+/// Why a run returned: the terminal [`WindowPlan`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RunOutcome {
+    /// Every queue drained: no events remain anywhere in the system.
+    Quiescent,
+    /// The time horizon was reached with events still pending.
+    HorizonReached,
+    /// The event budget was exhausted (runaway-model guard).
     BudgetExhausted,
 }
 
@@ -197,11 +202,10 @@ pub enum WindowPlan {
 /// the lookahead; per window it takes the minimum next-event time
 /// across shards and returns the exclusive window end
 /// `min(t0 + lookahead, horizon + 1µs)`. Capping at one past the
-/// horizon preserves the single-engine contract exactly: no event with
-/// `time > horizon` is ever processed (it is reported as
-/// [`WindowPlan::HorizonReached`] on the next plan), while events *at*
-/// the horizon still run. The cap keeps `end > t0`, so every planned
-/// window makes progress.
+/// horizon makes the horizon exact: no event with `time > horizon` is
+/// ever processed (it is reported as [`WindowPlan::HorizonReached`] on
+/// the next plan), while events *at* the horizon still run. The cap
+/// keeps `end > t0`, so every planned window makes progress.
 #[derive(Debug)]
 pub struct EpochBarrier {
     lookahead: SimDuration,

@@ -1,26 +1,29 @@
 //! A hierarchical timer wheel absorbing the MRAI/reuse timer flood.
 //!
-//! The wheel keeps the [`Scheduler`](crate::Scheduler) contract —
-//! strict `(time, seq)` FIFO pop order and O(1) cancellation — while
-//! making the schedule/pop flood cheap: scheduling hashes the deadline
-//! into one of four levels of 64 slots (slot widths growing by 64× per
-//! level, ~16 ms at level 0 to ~76 h of total span), and popping drains
-//! one slot at a time into a small "front" heap that provides the exact
-//! global ordering.
+//! The wheel pops entries in strict `(time, key)` order, where the key
+//! is supplied by the caller (see [`event_key`](crate::event_key)),
+//! while keeping the schedule/pop flood cheap: scheduling hashes the
+//! deadline into one of four levels of 64 slots (slot widths growing by
+//! 64× per level, ~16 ms at level 0 to ~76 h of total span), and
+//! popping drains one slot at a time into a small "front" heap that
+//! provides the exact global ordering.
 //!
-//! * **Front heap** — all live entries with `at < cursor` live in a
-//!   `BinaryHeap` ordered by `(at, seq)`. Because every wheel/overflow
+//! * **Front heap** — all entries with `at < cursor` live in a
+//!   `BinaryHeap` ordered by `(at, key)`. Because every wheel/overflow
 //!   entry is `≥ cursor`, the front minimum is the global minimum, so
-//!   pop order is identical to the plain heap scheduler's. The heap
-//!   only ever holds one drained slot's worth of entries (plus
-//!   stragglers scheduled into the past), so its `log n` is tiny.
-//! * **Cancellation** — entries live in a slab with per-slot generation
-//!   stamps; an [`EventId`](crate::EventId) packs `(generation, slot)`.
-//!   Cancel flips the slot state and drops the payload in O(1) — no
-//!   tombstone set to grow under MRAI reprogramming churn.
+//!   pop order is identical to the reference
+//!   [`HeapScheduler`](crate::HeapScheduler)'s. The heap only ever
+//!   holds one drained slot's worth of entries (plus stragglers
+//!   scheduled into the past), so its `log n` is tiny.
+//! * **Slab** — payloads stay put in a slab; the slots, the front heap
+//!   and the overflow map move only `u32` indices around.
 //! * **Overflow** — deadlines beyond the top level's rotation go to an
 //!   ordered map and are re-hashed into the wheel when the cursor
 //!   reaches them (never at simulation scale: the span is ~76 hours).
+//!
+//! Nothing is ever cancelled: the simulator's timers are lazy (a stale
+//! reuse or MRAI timer fires and is ignored by the router), so every
+//! scheduled entry is eventually popped.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -51,25 +54,16 @@ const fn span(level: usize) -> u64 {
     slot_size(level) << SLOT_BITS
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    Free,
-    Live,
-    Cancelled,
-}
-
 #[derive(Debug)]
 struct SlabEntry<E> {
     at: u64,
-    seq: u64,
-    gen: u32,
-    state: SlotState,
+    key: u64,
     event: Option<E>,
 }
 
-/// The wheel. Most users want it through
-/// [`Scheduler`](crate::Scheduler); it is public so the property tests
-/// can pin it against the reference heap implementation directly.
+/// The event queue behind [`ShardEngine`](crate::ShardEngine); public
+/// so the property tests can pin it against the reference heap
+/// directly.
 #[derive(Debug)]
 pub struct TimerWheel<E> {
     slab: Vec<SlabEntry<E>>,
@@ -78,13 +72,12 @@ pub struct TimerWheel<E> {
     slots: Vec<Vec<Vec<u32>>>,
     /// Per-level bitmap of non-empty slots.
     occupancy: [u64; LEVELS],
-    /// Deadlines beyond the top rotation, ordered by `(at, seq)`.
+    /// Deadlines beyond the top rotation, ordered by `(at, key)`.
     overflow: BTreeMap<(u64, u64), u32>,
-    /// Entries with `at < cur`, ordered by `(at, seq)` ascending.
+    /// Entries with `at < cur`, ordered by `(at, key)` ascending.
     front: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// Cursor in µs: the wheel never holds an entry earlier than this.
     cur: u64,
-    next_seq: u64,
     live: usize,
 }
 
@@ -107,76 +100,48 @@ impl<E> TimerWheel<E> {
             overflow: BTreeMap::new(),
             front: BinaryHeap::new(),
             cur: 0,
-            next_seq: 0,
             live: 0,
         }
     }
 
-    /// Schedules `event` at `at`; the returned raw id packs
-    /// `(generation, slab slot)`.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> u64 {
-        let at_us = at.as_micros();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let idx = self.alloc(at_us, seq, event);
-        if at_us < self.cur {
-            // Behind the cursor (e.g. scheduling at "now" mid-slot):
-            // straight to the front heap, preserving global order.
-            self.front.push(Reverse((at_us, seq, idx)));
-        } else {
-            self.place(idx, at_us, seq);
-        }
-        let gen = self.slab[idx as usize].gen;
-        (u64::from(gen) << 32) | u64::from(idx)
-    }
-
     /// Schedules `event` at `at` under a caller-supplied ordering key.
     ///
-    /// The key takes the place of the internal sequence number in every
-    /// ordering structure, so pop order is exactly `(at, key)` — the
-    /// contract the sharded engine builds its canonical cross-shard
-    /// order on. Callers must guarantee `(at, key)` pairs are unique
-    /// (the overflow map would silently coalesce duplicates); the
-    /// sharded engine's keys are globally unique by construction.
-    /// Mixing `schedule_keyed` with plain [`schedule`](Self::schedule)
-    /// on one wheel forfeits the FIFO-at-same-time contract and should
-    /// be avoided.
-    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) -> u64 {
+    /// Pop order is exactly `(at, key)` — the contract the sharded
+    /// engine builds its canonical cross-shard order on. Callers must
+    /// guarantee `(at, key)` pairs are unique (the overflow map would
+    /// silently coalesce duplicates); the sharded engine's keys are
+    /// globally unique by construction.
+    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
         let at_us = at.as_micros();
         let idx = self.alloc(at_us, key, event);
         if at_us < self.cur {
+            // Behind the cursor (e.g. scheduling at "now" mid-slot):
+            // straight to the front heap, preserving global order.
             self.front.push(Reverse((at_us, key, idx)));
         } else {
             self.place(idx, at_us, key);
         }
-        let gen = self.slab[idx as usize].gen;
-        (u64::from(gen) << 32) | u64::from(idx)
     }
 
-    fn alloc(&mut self, at: u64, seq: u64, event: E) -> u32 {
+    fn alloc(&mut self, at: u64, key: u64, event: E) -> u32 {
         self.live += 1;
+        let entry = SlabEntry {
+            at,
+            key,
+            event: Some(event),
+        };
         if let Some(idx) = self.free.pop() {
-            let entry = &mut self.slab[idx as usize];
-            entry.at = at;
-            entry.seq = seq;
-            entry.state = SlotState::Live;
-            entry.event = Some(event);
+            self.slab[idx as usize] = entry;
             return idx;
         }
         let idx = u32::try_from(self.slab.len()).expect("timer wheel slab exhausted");
-        self.slab.push(SlabEntry {
-            at,
-            seq,
-            gen: 1,
-            state: SlotState::Live,
-            event: Some(event),
-        });
+        self.slab.push(entry);
         idx
     }
 
     /// Hashes an entry with `at >= self.cur` into its level/slot (or
     /// overflow).
-    fn place(&mut self, idx: u32, at: u64, seq: u64) {
+    fn place(&mut self, idx: u32, at: u64, key: u64) {
         debug_assert!(at >= self.cur);
         for level in 0..LEVELS {
             // End of the cursor's current rotation at this level;
@@ -189,55 +154,25 @@ impl<E> TimerWheel<E> {
                 return;
             }
         }
-        self.overflow.insert((at, seq), idx);
+        self.overflow.insert((at, key), idx);
     }
 
-    /// Cancels a raw id. O(1); returns `true` the first time a live
-    /// entry is cancelled.
-    pub fn cancel(&mut self, id: u64) -> bool {
-        let idx = (id & u32::MAX as u64) as usize;
-        let gen = (id >> 32) as u32;
-        match self.slab.get_mut(idx) {
-            Some(entry) if entry.gen == gen && entry.state == SlotState::Live => {
-                entry.state = SlotState::Cancelled;
-                entry.event = None;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Number of live (not cancelled, not delivered) entries.
+    /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// True when no live entries remain.
+    /// True when no entries are pending.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
 
-    /// Releases a slab slot, bumping its generation so stale ids miss.
-    fn release(&mut self, idx: u32) {
-        let entry = &mut self.slab[idx as usize];
-        debug_assert!(entry.state != SlotState::Free);
-        entry.state = SlotState::Free;
-        entry.event = None;
-        entry.gen = entry.gen.wrapping_add(1);
-        self.free.push(idx);
-    }
-
-    /// Ensures the front heap's minimum is a live entry, advancing the
-    /// wheel as needed. Returns that entry's `(at, seq, idx)`.
+    /// Ensures the front heap holds the global minimum, advancing the
+    /// wheel as needed. Returns that entry's `(at, key, idx)`.
     fn settle(&mut self) -> Option<(u64, u64, u32)> {
         loop {
-            while let Some(&Reverse(key @ (_, _, idx))) = self.front.peek() {
-                if self.slab[idx as usize].state == SlotState::Live {
-                    return Some(key);
-                }
-                self.front.pop();
-                self.release(idx);
+            if let Some(&Reverse(entry)) = self.front.peek() {
+                return Some(entry);
             }
             if !self.advance() {
                 return None;
@@ -245,52 +180,20 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Removes and returns the earliest live event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, _, idx) = self.settle()?;
-        self.front.pop();
-        let event = self.slab[idx as usize].event.take().expect("live entry");
-        self.release(idx);
-        self.live -= 1;
-        Some((SimTime::from_micros(at), event))
-    }
-
-    /// Removes and returns the earliest live event together with its
-    /// ordering key (the internal sequence number for plainly-scheduled
-    /// entries; the caller's key for
-    /// [`schedule_keyed`](Self::schedule_keyed) ones).
+    /// Removes and returns the earliest event together with its
+    /// ordering key.
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         let (at, key, idx) = self.settle()?;
         self.front.pop();
         let event = self.slab[idx as usize].event.take().expect("live entry");
-        self.release(idx);
+        self.free.push(idx);
         self.live -= 1;
         Some((SimTime::from_micros(at), key, event))
     }
 
-    /// The timestamp of the earliest live event.
+    /// The timestamp of the earliest event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.settle().map(|(at, _, _)| SimTime::from_micros(at))
-    }
-
-    /// Discards every entry. Generations are bumped so outstanding ids
-    /// can never resolve; sequence numbering continues.
-    pub fn clear(&mut self) {
-        for level in &mut self.slots {
-            for slot in level {
-                slot.clear();
-            }
-        }
-        self.occupancy = [0; LEVELS];
-        self.overflow.clear();
-        self.front.clear();
-        self.cur = 0;
-        self.live = 0;
-        for idx in 0..self.slab.len() {
-            if self.slab[idx].state != SlotState::Free {
-                self.release(idx as u32);
-            }
-        }
     }
 
     /// Moves the wheel forward until the front heap has entries (one
@@ -351,25 +254,17 @@ impl<E> TimerWheel<E> {
             }
             match best {
                 Some((slot_start, 0, slot)) => {
-                    // Drain the level-0 slot into the front heap.
-                    let slot_end = slot_start + slot_size(0);
+                    // Drain the level-0 slot (occupied, so non-empty)
+                    // into the front heap.
                     self.occupancy[0] &= !(1 << slot);
                     let mut drained = std::mem::take(&mut self.slots[0][slot]);
-                    let mut any = false;
                     for idx in drained.drain(..) {
                         let entry = &self.slab[idx as usize];
-                        if entry.state == SlotState::Live {
-                            self.front.push(Reverse((entry.at, entry.seq, idx)));
-                            any = true;
-                        } else {
-                            self.release(idx);
-                        }
+                        self.front.push(Reverse((entry.at, entry.key, idx)));
                     }
                     self.slots[0][slot] = drained;
-                    self.cur = slot_end;
-                    if any {
-                        return true;
-                    }
+                    self.cur = slot_start + slot_size(0);
+                    return true;
                 }
                 Some((slot_start, level, slot)) => {
                     // A future slot at a higher level: jump the cursor
@@ -381,24 +276,20 @@ impl<E> TimerWheel<E> {
                     // Wheel empty: pull the overflow horizon in. Every
                     // overflow key is beyond the cursor's top-level
                     // rotation, so no wheel entry can precede it.
-                    let Some((&(at, _), _)) = self.overflow.iter().next() else {
-                        // Only cancelled debris was left.
-                        debug_assert_eq!(self.live, 0);
-                        return false;
-                    };
+                    let (&(at, _), _) = self
+                        .overflow
+                        .iter()
+                        .next()
+                        .expect("pending entries outside wheel and overflow");
                     self.cur = at;
                     let horizon = (self.cur | (span(LEVELS - 1) - 1)) + 1;
                     while let Some(entry) = self.overflow.first_entry() {
-                        let &(at, seq) = entry.key();
+                        let &(at, key) = entry.key();
                         if at >= horizon {
                             break;
                         }
                         let idx = entry.remove();
-                        if self.slab[idx as usize].state == SlotState::Live {
-                            self.place(idx, at, seq);
-                        } else {
-                            self.release(idx);
-                        }
+                        self.place(idx, at, key);
                     }
                 }
             }
@@ -414,13 +305,11 @@ impl<E> TimerWheel<E> {
         let mut moved = std::mem::take(&mut self.slots[level][slot]);
         for idx in moved.drain(..) {
             let entry = &self.slab[idx as usize];
-            if entry.state != SlotState::Live {
-                self.release(idx);
-            } else if entry.at < self.cur {
-                self.front.push(Reverse((entry.at, entry.seq, idx)));
+            let (at, key) = (entry.at, entry.key);
+            if at < self.cur {
+                self.front.push(Reverse((at, key, idx)));
             } else {
-                let (at, seq) = (entry.at, entry.seq);
-                self.place(idx, at, seq);
+                self.place(idx, at, key);
             }
         }
         self.slots[level][slot] = moved;
@@ -435,6 +324,12 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    fn drain<E>(w: &mut TimerWheel<E>) -> Vec<(u64, u64, E)> {
+        std::iter::from_fn(|| w.pop_keyed())
+            .map(|(at, key, e)| (at.as_micros(), key, e))
+            .collect()
+    }
+
     #[test]
     fn pops_across_level_boundaries_in_order() {
         let mut w = TimerWheel::new();
@@ -447,81 +342,16 @@ mod tests {
             span(LEVELS - 1) + 1, // overflow
         ];
         for (i, &at) in times.iter().enumerate() {
-            w.schedule(t_us(at), i);
+            w.schedule_keyed(t_us(at), 0, i);
         }
-        let popped: Vec<(u64, usize)> = std::iter::from_fn(|| w.pop())
-            .map(|(at, e)| (at.as_micros(), e))
-            .collect();
-        let expect: Vec<(u64, usize)> = times.iter().enumerate().map(|(i, &a)| (a, i)).collect();
-        assert_eq!(popped, expect);
-    }
-
-    #[test]
-    fn schedule_behind_cursor_still_pops_in_global_order() {
-        let mut w = TimerWheel::new();
-        w.schedule(t_us(100), "a");
-        assert_eq!(w.pop().unwrap().1, "a");
-        // The cursor has advanced past 100; an earlier deadline must
-        // still pop before a later one.
-        w.schedule(t_us(50), "past");
-        w.schedule(t_us(10_000_000), "future");
-        assert_eq!(w.pop().unwrap(), (t_us(50), "past"));
-        assert_eq!(w.pop().unwrap(), (t_us(10_000_000), "future"));
-    }
-
-    #[test]
-    fn generation_stamps_invalidate_delivered_ids() {
-        let mut w = TimerWheel::new();
-        let a = w.schedule(t_us(10), 1);
-        assert_eq!(w.pop(), Some((t_us(10), 1)));
-        // The slab slot is recycled; the old id's generation is stale.
-        let b = w.schedule(t_us(20), 2);
-        assert!(
-            !w.cancel(a),
-            "delivered id must not cancel the recycled slot"
-        );
-        assert!(w.cancel(b));
+        let expect: Vec<(u64, u64, usize)> =
+            times.iter().enumerate().map(|(i, &a)| (a, 0, i)).collect();
+        assert_eq!(drain(&mut w), expect);
         assert!(w.is_empty());
-        assert_eq!(w.pop(), None);
     }
 
     #[test]
-    fn cancelled_entries_are_skipped_at_every_layer() {
-        let mut w = TimerWheel::new();
-        let ids: Vec<u64> = [
-            5u64,
-            slot_size(1) + 1,
-            span(LEVELS - 1) + 10, // overflow
-        ]
-        .iter()
-        .map(|&at| w.schedule(t_us(at), at))
-        .collect();
-        let keep = w.schedule(t_us(7), 7u64);
-        for id in ids {
-            assert!(w.cancel(id));
-        }
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.pop(), Some((t_us(7), 7)));
-        assert_eq!(w.pop(), None);
-        let _ = keep;
-    }
-
-    #[test]
-    fn clear_resets_but_keeps_ids_unique() {
-        let mut w = TimerWheel::new();
-        let a = w.schedule(t_us(5), 1);
-        w.schedule(t_us(6), 2);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.pop(), None);
-        assert!(!w.cancel(a), "cleared ids are stale");
-        let b = w.schedule(t_us(7), 3);
-        assert_ne!(a, b);
-        assert_eq!(w.pop(), Some((t_us(7), 3)));
-    }
-
-    #[test]
-    fn keyed_entries_pop_in_time_then_key_order() {
+    fn entries_pop_in_time_then_key_order() {
         let mut w = TimerWheel::new();
         // Same instant, keys deliberately scheduled out of order; plus
         // entries across level boundaries and in the overflow region.
@@ -536,48 +366,40 @@ mod tests {
         for &(at, key, tag) in &entries {
             w.schedule_keyed(at, key, tag);
         }
-        let popped: Vec<(u64, u64, &str)> = std::iter::from_fn(|| w.pop_keyed())
-            .map(|(at, key, tag)| (at.as_micros(), key, tag))
-            .collect();
         let mut expect: Vec<(u64, u64, &str)> = entries
             .iter()
             .map(|&(at, key, tag)| (at.as_micros(), key, tag))
             .collect();
         expect.sort_unstable_by_key(|&(at, key, _)| (at, key));
-        assert_eq!(popped, expect);
+        assert_eq!(drain(&mut w), expect);
     }
 
     #[test]
-    fn keyed_schedule_behind_cursor_keeps_key_order() {
+    fn schedule_behind_cursor_keeps_time_and_key_order() {
         let mut w = TimerWheel::new();
         w.schedule_keyed(t_us(100), 1, "a");
         assert_eq!(w.pop_keyed().unwrap().2, "a");
-        // Cursor is past 100; a straggler with a smaller key at the
-        // same past instant must still pop first.
+        // The cursor has advanced past 100; stragglers at an earlier
+        // instant must still pop first, smaller key first.
+        w.schedule_keyed(t_us(10_000_000), 0, "future");
         w.schedule_keyed(t_us(50), 4, "late");
         w.schedule_keyed(t_us(50), 3, "early");
-        assert_eq!(w.pop_keyed().unwrap(), (t_us(50), 3, "early"));
-        assert_eq!(w.pop_keyed().unwrap(), (t_us(50), 4, "late"));
+        assert_eq!(w.len(), 3);
+        assert_eq!(w.peek_time(), Some(t_us(50)));
+        assert_eq!(
+            drain(&mut w),
+            vec![(50, 3, "early"), (50, 4, "late"), (10_000_000, 0, "future")]
+        );
     }
 
     #[test]
-    fn keyed_entries_cancel_like_plain_ones() {
-        let mut w = TimerWheel::new();
-        let id = w.schedule_keyed(t_us(10), 1, "gone");
-        w.schedule_keyed(t_us(10), 2, "kept");
-        assert!(w.cancel(id));
-        assert_eq!(w.pop_keyed(), Some((t_us(10), 2, "kept")));
-        assert_eq!(w.pop_keyed(), None);
-    }
-
-    #[test]
-    fn dense_same_slot_entries_fifo() {
+    fn dense_same_slot_entries_pop_in_key_order() {
         let mut w = TimerWheel::new();
         let t = t_us(slot_size(0) * 3 + 100);
-        for i in 0..50 {
-            w.schedule(t, i);
+        for k in (0..50u64).rev() {
+            w.schedule_keyed(t, k, k);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
+        let order: Vec<u64> = drain(&mut w).into_iter().map(|(_, _, e)| e).collect();
         assert_eq!(order, (0..50).collect::<Vec<_>>());
     }
 }

@@ -1,22 +1,35 @@
 //! Property-based tests for the simulation kernel.
 
 use proptest::prelude::*;
-use rfd_sim::{
-    Context, DetRng, Engine, HeapScheduler, RunOutcome, Scheduler, SimDuration, SimTime, World,
-};
+use rfd_sim::{event_key, DetRng, HeapScheduler, SimDuration, SimTime, TimerWheel};
+
+/// Pops both queues to exhaustion, requiring identical streams.
+fn drain_both<E: PartialEq + std::fmt::Debug>(
+    wheel: &mut TimerWheel<E>,
+    heap: &mut HeapScheduler<E>,
+) -> Result<(), TestCaseError> {
+    loop {
+        let a = wheel.pop_keyed();
+        let b = heap.pop_keyed();
+        prop_assert_eq!(&a, &b);
+        if a.is_none() {
+            return Ok(());
+        }
+    }
+}
 
 proptest! {
     /// Events always pop in non-decreasing time order, regardless of the
     /// insertion order.
     #[test]
-    fn scheduler_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut s = Scheduler::new();
+    fn wheel_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
+        let mut w = TimerWheel::new();
         for (i, &t) in times.iter().enumerate() {
-            s.schedule(SimTime::from_micros(t), i);
+            w.schedule_keyed(SimTime::from_micros(t), i as u64, i);
         }
         let mut last = SimTime::ZERO;
         let mut count = 0;
-        while let Some((at, _)) = s.pop() {
+        while let Some((at, _, _)) = w.pop_keyed() {
             prop_assert!(at >= last);
             last = at;
             count += 1;
@@ -24,69 +37,22 @@ proptest! {
         prop_assert_eq!(count, times.len());
     }
 
-    /// Among events with equal timestamps, delivery preserves insertion
-    /// order (FIFO).
+    /// Among events with equal timestamps, delivery follows the key,
+    /// not the insertion order.
     #[test]
-    fn scheduler_equal_times_fifo(n in 1usize..100, t in 0u64..1_000) {
-        let mut s = Scheduler::new();
-        for i in 0..n {
-            s.schedule(SimTime::from_micros(t), i);
+    fn wheel_equal_times_key_order(n in 1u64..100, t in 0u64..1_000, stride in 1u64..97) {
+        // `stride` is coprime to the prime 101, so `k * stride % 101`
+        // visits n distinct keys in scrambled order.
+        let mut w = TimerWheel::new();
+        for k in 0..n {
+            let key = k * stride % 101;
+            w.schedule_keyed(SimTime::from_micros(t), key, key);
         }
-        let popped: Vec<usize> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(popped, (0..n).collect::<Vec<_>>());
-    }
-
-    /// Cancelling an arbitrary subset removes exactly that subset.
-    #[test]
-    fn scheduler_cancellation_exact(
-        times in proptest::collection::vec(0u64..10_000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut s = Scheduler::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, s.schedule(SimTime::from_micros(t), i)))
-            .collect();
-        let mut expect: Vec<usize> = Vec::new();
-        for (i, id) in &ids {
-            let cancelled = cancel_mask.get(*i).copied().unwrap_or(false);
-            if cancelled {
-                s.cancel(*id);
-            } else {
-                expect.push(*i);
-            }
-        }
-        let mut popped: Vec<usize> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        popped.sort_unstable();
+        let popped: Vec<u64> = std::iter::from_fn(|| w.pop_keyed().map(|(_, _, e)| e)).collect();
+        let mut expect = popped.clone();
         expect.sort_unstable();
+        prop_assert_eq!(popped.len() as u64, n);
         prop_assert_eq!(popped, expect);
-    }
-
-    /// The engine delivers every primed event exactly once, in time order.
-    #[test]
-    fn engine_delivers_all_once(times in proptest::collection::vec(0u64..100_000, 1..100)) {
-        struct Collect(Vec<SimTime>);
-        impl World for Collect {
-            type Event = ();
-            fn handle(&mut self, ctx: &mut Context<'_, ()>, _: ()) {
-                self.0.push(ctx.now());
-            }
-        }
-        let mut engine = Engine::new();
-        for &t in &times {
-            engine.prime(SimTime::from_micros(t), ());
-        }
-        let mut world = Collect(Vec::new());
-        let (outcome, stats) = engine.run(&mut world);
-        prop_assert_eq!(outcome, RunOutcome::Quiescent);
-        prop_assert_eq!(stats.events_processed as usize, times.len());
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(
-            world.0,
-            sorted.into_iter().map(SimTime::from_micros).collect::<Vec<_>>()
-        );
     }
 
     /// Two engines with identical seeds and schedules produce identical
@@ -123,69 +89,45 @@ proptest! {
         prop_assert!(time + dur >= time);
     }
 
-    /// Differential test: the timer-wheel [`Scheduler`] and the
-    /// reference [`HeapScheduler`] deliver identical `(time, payload)`
-    /// streams under randomized interleavings of schedule, cancel (of
-    /// live handles only — the two implementations intentionally differ
-    /// on cancelling an already-delivered handle), and pop. Times are
-    /// drawn from a coarse palette so FIFO ties are common.
+    /// Differential test: the keyed [`TimerWheel`] and the reference
+    /// [`HeapScheduler`] deliver identical `(time, key, payload)`
+    /// streams under randomized interleavings of schedule and pop.
+    /// Keys are canonical [`event_key`]s from a handful of sources, so
+    /// same-time ties are common and resolve by key, not insertion
+    /// order.
     #[test]
     fn wheel_matches_heap_reference(
         ops in proptest::collection::vec(
-            (0u8..8, 0u64..40, 0usize..64),
+            (0u8..8, 0u64..40, 0u32..8),
             1..300,
         )
     ) {
-        let mut wheel = Scheduler::new();
+        let mut wheel = TimerWheel::new();
         let mut heap = HeapScheduler::new();
-        // Live (not yet cancelled or popped) handles, keyed by payload.
-        let mut live: Vec<(usize, rfd_sim::EventId, rfd_sim::EventId)> = Vec::new();
+        let mut seqs = [0u64; 8];
         let mut next_payload = 0usize;
-        // Pops advance time, so remember the floor: scheduling in the
-        // past is legal, but keep most inserts clustered for ties.
-        for (sel, t_raw, idx) in ops {
-            match sel {
-                0..=4 => {
-                    // Mix a coarse palette (multiples of 250 ms, forcing
-                    // FIFO ties) with irregular fine-grained deadlines
-                    // that straddle wheel rotation boundaries.
-                    let at = if sel < 3 {
-                        SimTime::from_micros(t_raw * 250_000)
-                    } else {
-                        SimTime::from_micros(t_raw * 77_251)
-                    };
-                    let p = next_payload;
-                    next_payload += 1;
-                    let idw = wheel.schedule(at, p);
-                    let idh = heap.schedule(at, p);
-                    live.push((p, idw, idh));
-                }
-                5 | 6 if !live.is_empty() => {
-                    let (_, idw, idh) = live.swap_remove(idx % live.len());
-                    prop_assert_eq!(wheel.cancel(idw), heap.cancel(idh));
-                }
-                _ => {
-                    let a = wheel.pop();
-                    let b = heap.pop();
-                    prop_assert_eq!(a, b);
-                    if let Some((_, p)) = a {
-                        live.retain(|(lp, _, _)| *lp != p);
-                    }
-                }
+        for (sel, t_raw, src) in ops {
+            if sel < 6 {
+                // Mix a coarse palette (multiples of 250 ms, forcing
+                // ties) with irregular fine-grained deadlines that
+                // straddle wheel rotation boundaries.
+                let at = if sel < 3 {
+                    SimTime::from_micros(t_raw * 250_000)
+                } else {
+                    SimTime::from_micros(t_raw * 77_251)
+                };
+                let key = event_key(src, seqs[src as usize]);
+                seqs[src as usize] += 1;
+                wheel.schedule_keyed(at, key, next_payload);
+                heap.schedule_keyed(at, key, next_payload);
+                next_payload += 1;
+            } else {
+                prop_assert_eq!(wheel.pop_keyed(), heap.pop_keyed());
             }
             prop_assert_eq!(wheel.len(), heap.len());
             prop_assert_eq!(wheel.peek_time(), heap.peek_time());
         }
-        // Drain both to the end: every remaining event must come out in
-        // the same (time, FIFO) order with the same payload.
-        loop {
-            let a = wheel.pop();
-            let b = heap.pop();
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        drain_both(&mut wheel, &mut heap)?;
     }
 
     /// Same differential, but with timestamps spanning every wheel
@@ -198,28 +140,22 @@ proptest! {
             1..200,
         )
     ) {
-        let mut wheel = Scheduler::new();
+        let mut wheel = TimerWheel::new();
         let mut heap = HeapScheduler::new();
-        for (sel, mant, shift) in ops {
+        for (i, (sel, mant, shift)) in ops.into_iter().enumerate() {
             if sel < 4 {
                 // mant << shift sweeps from microseconds to ~2000 hours,
                 // crossing every level boundary and into overflow.
                 let at = SimTime::from_micros(mant << shift.min(45));
-                let p = (mant, shift);
-                wheel.schedule(at, p);
-                heap.schedule(at, p);
+                // Keys descend with insertion so ties pop newest first.
+                let key = u64::MAX - i as u64;
+                wheel.schedule_keyed(at, key, (mant, shift));
+                heap.schedule_keyed(at, key, (mant, shift));
             } else {
-                prop_assert_eq!(wheel.pop(), heap.pop());
+                prop_assert_eq!(wheel.pop_keyed(), heap.pop_keyed());
             }
             prop_assert_eq!(wheel.len(), heap.len());
         }
-        loop {
-            let a = wheel.pop();
-            let b = heap.pop();
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        drain_both(&mut wheel, &mut heap)?;
     }
 }

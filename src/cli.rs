@@ -37,7 +37,9 @@ impl TopologySpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message on malformed specs.
+    /// Returns a human-readable message on malformed specs, including
+    /// sizes the generators cannot build: too few nodes for the kind,
+    /// or more nodes than the `u32` node-id range holds.
     pub fn parse(spec: &str) -> Result<Self, CliError> {
         let (kind, size) = spec
             .split_once(':')
@@ -46,21 +48,40 @@ impl TopologySpec {
             s.parse::<usize>()
                 .map_err(|_| CliError(format!("bad size `{s}` in `{spec}`")))
         };
-        match kind {
+        let parsed = match kind {
             // `torus` is an alias for `mesh` (the paper's mesh *is* a
             // torus), `ba` for `internet` (Barabási–Albert).
             "mesh" | "torus" => {
                 let (w, h) = size
                     .split_once('x')
                     .ok_or_else(|| CliError(format!("{kind} needs WxH, got `{size}`")))?;
-                Ok(TopologySpec::Mesh(parse_n(w)?, parse_n(h)?))
+                TopologySpec::Mesh(parse_n(w)?, parse_n(h)?)
             }
-            "internet" | "ba" => Ok(TopologySpec::Internet(parse_n(size)?)),
-            "ring" => Ok(TopologySpec::Ring(parse_n(size)?)),
-            "line" => Ok(TopologySpec::Line(parse_n(size)?)),
-            "clique" => Ok(TopologySpec::Clique(parse_n(size)?)),
-            other => Err(CliError(format!(
-                "unknown topology kind `{other}` (mesh|torus|internet|ba|ring|line|clique)"
+            "internet" | "ba" => TopologySpec::Internet(parse_n(size)?),
+            "ring" => TopologySpec::Ring(parse_n(size)?),
+            "line" => TopologySpec::Line(parse_n(size)?),
+            "clique" => TopologySpec::Clique(parse_n(size)?),
+            other => {
+                return Err(CliError(format!(
+                    "unknown topology kind `{other}` (mesh|torus|internet|ba|ring|line|clique)"
+                )))
+            }
+        };
+        // The generators' own preconditions: a Barabási–Albert graph
+        // with attachment degree 2 and a ring both need 3 nodes.
+        let (nodes, min) = match parsed {
+            TopologySpec::Mesh(w, h) => (w.checked_mul(h), 1),
+            TopologySpec::Internet(n) | TopologySpec::Ring(n) => (Some(n), 3),
+            TopologySpec::Line(n) | TopologySpec::Clique(n) => (Some(n), 1),
+        };
+        match nodes {
+            Some(n) if n < min => Err(CliError(format!(
+                "topology `{spec}` needs at least {min} node(s), got {n}"
+            ))),
+            Some(n) if n <= u32::MAX as usize => Ok(parsed),
+            _ => Err(CliError(format!(
+                "topology `{spec}` has more nodes than the {} node ids available",
+                u32::MAX
             ))),
         }
     }
@@ -876,6 +897,25 @@ mod tests {
         assert!(TopologySpec::parse("mesh:10").is_err());
         assert!(TopologySpec::parse("blob:3").is_err());
         assert!(TopologySpec::parse("mesh").is_err());
+        // Sizes the generators would panic on or could not number.
+        for spec in [
+            "torus:0x0",
+            "mesh:0x5",
+            "ba:1",
+            "ba:2",
+            "ring:2",
+            "line:0",
+            "clique:0",
+            "torus:100000x100000",
+            "torus:18446744073709551615x2",
+            "line:4294967296",
+        ] {
+            assert!(TopologySpec::parse(spec).is_err(), "{spec} accepted");
+        }
+        for spec in ["torus:1x1", "ba:3", "ring:3", "line:1", "clique:1"] {
+            let parsed = TopologySpec::parse(spec).unwrap();
+            assert!(parsed.build(1).node_count() > 0, "{spec}");
+        }
     }
 
     #[test]

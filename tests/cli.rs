@@ -95,6 +95,58 @@ fn run_rejects_bad_flags() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("requires damping"));
 }
 
+/// Asserts that `rfd run --topology <spec>` is refused with an `error:`
+/// line and a non-zero exit, not a panic (exit 101) or an abort.
+fn rejects_topology(spec: &str) {
+    let out = rfd()
+        .args(["run", "--topology", spec, "--pulses", "1"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{spec} accepted");
+    assert_ne!(out.status.code(), Some(101), "{spec} panicked: {stderr}");
+    assert!(!stderr.contains("panicked"), "{spec} panicked: {stderr}");
+    assert!(
+        stderr.lines().any(|l| l.starts_with("error:")),
+        "{spec}: no error line in {stderr}"
+    );
+}
+
+#[test]
+fn run_rejects_empty_torus() {
+    rejects_topology("torus:0x0");
+}
+
+#[test]
+fn run_rejects_one_node_ba() {
+    rejects_topology("ba:1");
+}
+
+#[test]
+fn run_rejects_two_node_ba() {
+    rejects_topology("ba:2");
+}
+
+#[test]
+fn run_rejects_two_node_ring() {
+    rejects_topology("ring:2");
+}
+
+#[test]
+fn run_rejects_empty_line() {
+    rejects_topology("line:0");
+}
+
+#[test]
+fn run_rejects_empty_clique() {
+    rejects_topology("clique:0");
+}
+
+#[test]
+fn run_rejects_torus_beyond_node_id_range() {
+    rejects_topology("torus:100000x100000");
+}
+
 #[test]
 fn topology_generates_parseable_edge_list() {
     let text = run_ok(&["topology", "--kind", "ring:6"]);
