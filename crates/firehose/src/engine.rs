@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use rfd_core::{DampingParams, DecayMode};
-use rfd_obs::Histogram;
+use rfd_obs::{Histogram, BUCKETS};
 use rfd_runner::{ChaosKind, ChaosPlan};
 use rfd_sim::{SimDuration, SimTime};
 
@@ -26,7 +26,9 @@ use crate::shard::{ShardOptions, ShardState};
 use crate::telemetry::{DeltaTracker, ShardSnapshot, TelemetrySink};
 use crate::workload::{shard_hash, Firehose, Update, WorkloadSpec};
 
-/// Updates a worker drains from its queue per lock acquisition.
+/// Updates per hand-off: the generator stages this many per shard
+/// (fewer if the queue is smaller) before pushing, and a worker drains
+/// up to this many per lock acquisition.
 const BATCH: usize = 256;
 /// Updates between chaos checkpoints. An unbounded `panic@shardN`
 /// fault panics at every checkpoint, but the attempt counter advances
@@ -117,9 +119,9 @@ impl FirehoseConfig {
 
 /// Per-shard gauges shared between a worker and the observers (the
 /// heartbeat monitor and the telemetry sampler). Workers write them
-/// with relaxed stores — `suppressions` and `live_entries` only at
-/// batch boundaries — so observation never perturbs the decision
-/// stream.
+/// with relaxed atomics — `processed`, `suppressions` and
+/// `live_entries` only at batch boundaries — so observation never
+/// perturbs the decision stream.
 #[derive(Debug, Default)]
 struct ShardGauges {
     processed: AtomicU64,
@@ -226,12 +228,29 @@ pub fn run_with_telemetry(
             observers,
         };
 
+        // Updates are staged per shard and handed over a full stage at
+        // a time: one lock and one wake-up per batch, not per update.
+        // Each queue still sees its updates in generation order.
+        let stage_len = BATCH.min(config.queue_capacity);
+        let mut stages: Vec<Vec<Update>> = (0..config.shards)
+            .map(|_| Vec::with_capacity(stage_len))
+            .collect();
+        let mut last_at = SimTime::ZERO;
         for update in hose {
             let shard = (shard_hash(update.key()) % config.shards as u64) as usize;
-            sim_now_us.store(update.at.as_micros(), Ordering::Relaxed);
-            queues[shard].push(update);
+            last_at = update.at;
+            let stage = &mut stages[shard];
+            stage.push(update);
+            if stage.len() == stage_len {
+                sim_now_us.store(last_at.as_micros(), Ordering::Relaxed);
+                queues[shard].push_batch(stage);
+            }
         }
-        for queue in &queues {
+        sim_now_us.store(last_at.as_micros(), Ordering::Relaxed);
+        for (queue, stage) in queues.iter().zip(&mut stages) {
+            if !stage.is_empty() {
+                queue.push_batch(stage);
+            }
             queue.close();
         }
         workers
@@ -290,6 +309,11 @@ fn shard_worker(
     let mut pos = 0usize;
     let mut until_check = 0u32;
     let mut attempt = 0u32;
+    // Decision timings not yet published to `decision_ns` (log₂ bucket
+    // counts and their sum). They live outside the recovery closure, so
+    // an injected panic mid-batch loses none of them.
+    let mut latency_buckets = [0u64; BUCKETS];
+    let mut latency_sum = 0u64;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| loop {
             while pos < batch.len() {
@@ -318,14 +342,20 @@ fn shard_worker(
                 until_check -= 1;
                 let t0 = Instant::now();
                 state.apply(batch[pos]);
-                decision_ns.observe(t0.elapsed().as_nanos() as u64);
+                let ns = t0.elapsed().as_nanos() as u64;
+                latency_buckets[Histogram::bucket_of(ns)] += 1;
+                latency_sum = latency_sum.wrapping_add(ns);
                 pos += 1;
-                gauge.processed.fetch_add(1, Ordering::Relaxed);
             }
             batch.clear();
             pos = 0;
-            // Batch-boundary gauge refresh for the observers: cheap
-            // relaxed stores once per drained batch, never per update.
+            // Batch-boundary refresh for the observers, once per drained
+            // batch, never per update. One sample per update, so the
+            // samples flushed are the updates processed. The run ends
+            // only through the `pop_batch` below, so every count is
+            // published by then.
+            let flushed = decision_ns.add_counts(&mut latency_buckets, &mut latency_sum);
+            gauge.processed.fetch_add(flushed, Ordering::Relaxed);
             gauge
                 .suppressions
                 .store(state.aggregate().suppressions, Ordering::Relaxed);
@@ -563,6 +593,44 @@ mod tests {
         assert_eq!(clean.aggregate, chaotic.aggregate);
         assert_eq!(chaotic.shard_perf[0].recovered_panics, 2);
         assert_eq!(chaotic.shard_perf[1].recovered_panics, 0);
+        // The second panic lands mid-batch (checks fall every 1000
+        // updates, batches are 256): the worker's unpublished timings
+        // and processed count must survive the unwind.
+        assert_eq!(chaotic.decision_ns.count(), chaotic.aggregate.updates);
+        assert_eq!(
+            chaotic.shard_perf.iter().map(|p| p.processed).sum::<u64>(),
+            chaotic.aggregate.updates
+        );
+    }
+
+    /// A stream shorter than one staged batch still reaches the
+    /// workers in full: the generator flushes its partial stages
+    /// before closing the queues.
+    #[test]
+    fn partial_stages_are_flushed_before_close() {
+        let mut cfg = config(4, WorkloadKind::FlapStorm);
+        cfg.spec.duration = SimDuration::from_secs(120);
+        let mut state = ShardState::with_options(cfg.shard_options());
+        let mut direct = 0u64;
+        for update in Firehose::new(&cfg.spec) {
+            state.apply(update);
+            direct += 1;
+        }
+        assert!(
+            (1..BATCH as u64).contains(&direct),
+            "{direct} updates: the stream must be shorter than one batch"
+        );
+        let report = run(&cfg).expect("runs");
+        assert_eq!(report.aggregate.updates, direct);
+        assert_eq!(
+            report.aggregate,
+            state.finish(Firehose::new(&cfg.spec).end())
+        );
+        assert_eq!(
+            report.shard_perf.iter().map(|p| p.processed).sum::<u64>(),
+            direct
+        );
+        assert_eq!(report.decision_ns.count(), direct);
     }
 
     #[test]
@@ -732,6 +800,69 @@ mod tests {
             "merged histogram covers every decision exactly once"
         );
         assert!(report.decision_ns.sum() > 0);
+    }
+
+    /// Runs `f` on its own thread and fails if it has not finished
+    /// within `deadline` — a hang becomes a test failure, not a stuck
+    /// suite.
+    fn within(deadline: Duration, f: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(deadline) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("firehose did not finish within {deadline:?}: deadlock")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("firehose run panicked")
+            }
+        }
+    }
+
+    /// Tiny queues keep the generator blocked on nearly every batch
+    /// and the workers waking constantly, which is when a lost wake-up
+    /// or a close/push race would hang. Many tiny runs, some with the
+    /// telemetry sampler and heartbeat on, must all finish and all
+    /// agree with a one-shard reference.
+    #[test]
+    fn tiny_queues_never_deadlock() {
+        within(Duration::from_secs(60), || {
+            for seed in 0..100u64 {
+                let mut base = config(1, WorkloadKind::FlapStorm);
+                base.spec.peers = 3;
+                base.spec.prefixes = 8;
+                base.spec.duration = SimDuration::from_secs(300);
+                base.spec.seed = seed;
+                let reference = run(&base).expect("runs").aggregate;
+                for queue_capacity in [1, 2, 3] {
+                    for shards in [1, 3, 8] {
+                        let mut cfg = base.clone();
+                        cfg.shards = shards;
+                        cfg.queue_capacity = queue_capacity;
+                        let observed = seed % 4 == 0;
+                        if observed {
+                            cfg.heartbeat = Some(Duration::from_millis(1));
+                        }
+                        let mut sink = crate::telemetry::VecTelemetry::new();
+                        let telemetry = observed.then(|| {
+                            (
+                                Duration::from_millis(1),
+                                &mut sink as &mut dyn TelemetrySink,
+                            )
+                        });
+                        let report = run_with_telemetry(&cfg, telemetry).expect("runs");
+                        assert_eq!(
+                            report.aggregate, reference,
+                            "seed {seed}, capacity {queue_capacity}, shards {shards}"
+                        );
+                        assert_eq!(report.decision_ns.count(), reference.updates);
+                    }
+                }
+            }
+        });
     }
 
     #[test]

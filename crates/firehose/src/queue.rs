@@ -2,13 +2,14 @@
 //! with explicit backpressure accounting.
 //!
 //! One producer (the merge generator) and one consumer (a shard worker)
-//! share each queue. The implementation is a mutex-guarded ring — with
-//! exactly two threads per queue and batch draining on the consumer
-//! side, lock traffic is a per-batch cost, not a per-update one — and
-//! every backpressure event is *counted*: the report exposes how often
-//! the producer blocked on a full queue and the deepest the queue ever
-//! got, so a slow consumer shows up as data instead of mystery
-//! latency.
+//! share each queue. The implementation is a mutex-guarded ring. Both
+//! sides move items in batches — the producer hands over a staged
+//! batch with [`SpscQueue::push_batch`], the consumer drains with
+//! [`SpscQueue::pop_batch`] — so lock traffic and wake-ups are a
+//! per-batch cost, not a per-update one. Every backpressure event is
+//! *counted*: the report exposes how often the producer blocked on a
+//! full queue and the deepest the queue ever got, so a slow consumer
+//! shows up as data instead of mystery latency.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -30,7 +31,6 @@ pub struct SpscQueue<T> {
     depth: AtomicUsize,
     max_depth: AtomicUsize,
     push_waits: AtomicU64,
-    pushed: AtomicU64,
 }
 
 impl<T> SpscQueue<T> {
@@ -52,26 +52,43 @@ impl<T> SpscQueue<T> {
             depth: AtomicUsize::new(0),
             max_depth: AtomicUsize::new(0),
             push_waits: AtomicU64::new(0),
-            pushed: AtomicU64::new(0),
         }
     }
 
-    /// Enqueues one item, blocking while the queue is full (that block
-    /// is the backpressure signal, and it is counted).
-    pub fn push(&self, item: T) {
+    /// Moves every item of `items` into the queue in order, leaving
+    /// `items` empty with its allocation kept for the next batch.
+    ///
+    /// Each chunk that fits is enqueued under one lock with one
+    /// consumer wake-up. While the queue is full the call blocks; each
+    /// such blocking episode counts as one push wait (the backpressure
+    /// signal). Once the queue is closed the bound no longer applies
+    /// and the remainder is enqueued at once.
+    pub fn push_batch(&self, items: &mut Vec<T>) {
+        let mut rest = items.drain(..);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.buf.len() >= self.capacity {
-            self.push_waits.fetch_add(1, Ordering::Relaxed);
-            while inner.buf.len() >= self.capacity && !inner.closed {
-                inner = self.not_full.wait(inner).unwrap_or_else(|e| e.into_inner());
+        loop {
+            if inner.buf.len() >= self.capacity && !inner.closed {
+                self.push_waits.fetch_add(1, Ordering::Relaxed);
+                while inner.buf.len() >= self.capacity && !inner.closed {
+                    inner = self.not_full.wait(inner).unwrap_or_else(|e| e.into_inner());
+                }
             }
+            let room = if inner.closed {
+                rest.len()
+            } else {
+                self.capacity - inner.buf.len()
+            };
+            inner.buf.extend(rest.by_ref().take(room));
+            let depth = inner.buf.len();
+            self.depth.store(depth, Ordering::Relaxed);
+            self.max_depth.fetch_max(depth, Ordering::Relaxed);
+            if rest.len() == 0 {
+                break;
+            }
+            // The queue is full again: wake the consumer to make room.
+            self.not_empty.notify_one();
         }
-        inner.buf.push_back(item);
-        let depth = inner.buf.len();
         drop(inner);
-        self.depth.store(depth, Ordering::Relaxed);
-        self.max_depth.fetch_max(depth, Ordering::Relaxed);
-        self.pushed.fetch_add(1, Ordering::Relaxed);
         self.not_empty.notify_one();
     }
 
@@ -118,15 +135,10 @@ impl<T> SpscQueue<T> {
         self.max_depth.load(Ordering::Relaxed)
     }
 
-    /// How many pushes found the queue full and had to wait — the
-    /// explicit backpressure count.
+    /// How many times a batch push found the queue full and had to
+    /// wait — the explicit backpressure count.
     pub fn push_waits(&self) -> u64 {
         self.push_waits.load(Ordering::Relaxed)
-    }
-
-    /// Total items ever enqueued.
-    pub fn pushed(&self) -> u64 {
-        self.pushed.load(Ordering::Relaxed)
     }
 }
 
@@ -134,13 +146,25 @@ impl<T> SpscQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// Drains `q` until it is closed and empty.
+    fn drain<T>(q: &SpscQueue<T>, max: usize) -> Vec<T> {
+        let mut seen = Vec::new();
+        let mut batch = Vec::new();
+        while q.pop_batch(&mut batch, max) {
+            seen.append(&mut batch);
+        }
+        seen
+    }
 
     #[test]
     fn fifo_through_batches() {
         let q: SpscQueue<u32> = SpscQueue::new(4);
-        for v in 0..4 {
-            q.push(v);
-        }
+        let mut stage: Vec<u32> = (0..4).collect();
+        q.push_batch(&mut stage);
+        assert!(stage.is_empty(), "push_batch consumes the stage");
+        assert!(stage.capacity() >= 4, "and keeps its allocation");
         q.close();
         let mut out = Vec::new();
         assert!(q.pop_batch(&mut out, 3));
@@ -148,6 +172,8 @@ mod tests {
         assert!(q.pop_batch(&mut out, 3));
         assert_eq!(out, vec![0, 1, 2, 3]);
         assert!(!q.pop_batch(&mut out, 3), "closed and drained");
+        assert_eq!(q.push_waits(), 0, "it all fitted");
+        assert_eq!(q.max_depth(), 4);
     }
 
     #[test]
@@ -156,24 +182,73 @@ mod tests {
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                for v in 0..100u64 {
-                    q.push(v);
+                for v in (0..100u64).step_by(2) {
+                    q.push_batch(&mut vec![v, v + 1]);
                 }
                 q.close();
             })
         };
         // Let the producer hit the 2-slot wall before draining.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let mut seen = Vec::new();
-        let mut batch = Vec::new();
-        while q.pop_batch(&mut batch, 8) {
-            seen.append(&mut batch);
-        }
+        std::thread::sleep(Duration::from_millis(20));
+        let seen = drain(&q, 8);
         producer.join().unwrap();
         assert_eq!(seen, (0..100).collect::<Vec<u64>>());
         assert!(q.push_waits() > 0, "producer never blocked");
         assert!(q.max_depth() <= 2);
-        assert_eq!(q.pushed(), 100);
+    }
+
+    /// A batch larger than the capacity goes in capacity-sized chunks,
+    /// waiting for the consumer between them, in FIFO order.
+    #[test]
+    fn oversized_batch_is_split_across_waits_in_order() {
+        for capacity in [1, 3, 7] {
+            let q: Arc<SpscQueue<u32>> = Arc::new(SpscQueue::new(capacity));
+            let producer = {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut stage: Vec<u32> = (0..1000).collect();
+                    q.push_batch(&mut stage);
+                    assert!(stage.is_empty());
+                    q.close();
+                })
+            };
+            let seen = drain(&q, 2);
+            producer.join().unwrap();
+            assert_eq!(seen, (0..1000).collect::<Vec<u32>>(), "capacity {capacity}");
+            assert!(q.max_depth() <= capacity, "capacity {capacity}");
+            assert!(q.push_waits() > 0, "capacity {capacity}");
+        }
+    }
+
+    /// Each time a push finds the queue full and blocks is one push
+    /// wait; pushes that fit count nothing.
+    #[test]
+    fn push_waits_counts_blocking_episodes() {
+        let q: Arc<SpscQueue<u8>> = Arc::new(SpscQueue::new(2));
+        q.push_batch(&mut vec![0, 1]);
+        assert_eq!(q.push_waits(), 0);
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                q.push_batch(&mut vec![2, 3]);
+                q.push_batch(&mut vec![4, 5]);
+            })
+        };
+        let mut got = Vec::new();
+        for episode in 1..=2 {
+            // The producer is parked on the full queue: make room.
+            while q.push_waits() < episode {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut out = Vec::new();
+            assert!(q.pop_batch(&mut out, 2));
+            got.append(&mut out);
+        }
+        producer.join().unwrap();
+        q.close();
+        got.append(&mut drain(&q, 2));
+        assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(q.push_waits(), 2);
     }
 
     #[test]
@@ -186,9 +261,26 @@ mod tests {
                 q.pop_batch(&mut out, 1)
             })
         };
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(10));
         q.close();
         assert!(!consumer.join().unwrap());
+    }
+
+    /// A producer blocked in `push_batch` on a full queue returns when
+    /// the queue is closed, and nothing it held is lost.
+    #[test]
+    fn close_wakes_blocked_producer() {
+        let q: Arc<SpscQueue<u8>> = Arc::new(SpscQueue::new(1));
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.push_batch(&mut vec![0, 1, 2]))
+        };
+        while q.push_waits() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        q.close();
+        producer.join().unwrap();
+        assert_eq!(drain(&q, 8), vec![0, 1, 2]);
     }
 
     #[test]

@@ -70,8 +70,9 @@ pub struct ShardPerf {
     pub processed: u64,
     /// Deepest its ingest queue ever got.
     pub max_queue_depth: usize,
-    /// Times the generator blocked pushing to this shard
-    /// (backpressure events).
+    /// Times a batch push from the generator found this shard's queue
+    /// full and blocked (backpressure events). Counted per blocked
+    /// batch, not per update.
     pub push_waits: u64,
     /// Chaos panics caught and recovered inside the worker.
     pub recovered_panics: u64,

@@ -33,7 +33,8 @@ pub struct ShardSnapshot {
     pub sim_us: u64,
     /// Which shard this row describes.
     pub shard: usize,
-    /// Updates processed so far (cumulative).
+    /// Updates processed so far (cumulative; workers publish it once
+    /// per drained batch).
     pub processed: u64,
     /// Updates processed since the previous tick.
     pub processed_delta: u64,
@@ -48,7 +49,8 @@ pub struct ShardSnapshot {
     pub queue_depth: usize,
     /// Deepest the queue has ever been.
     pub max_queue_depth: usize,
-    /// Times the generator has blocked pushing to this shard.
+    /// Times a batch push from the generator has found this shard's
+    /// queue full and blocked (counted per blocked batch).
     pub push_waits: u64,
     /// Damper slots currently live in the shard's state table.
     pub live_entries: u64,

@@ -49,7 +49,7 @@ mod span;
 
 pub use export::{render_trace, summary_json, write_trace};
 pub use flight::{dump_flight, install_panic_hook, set_flight_path};
-pub use metrics::{percentile_from_buckets, Counter, Gauge, Histogram};
+pub use metrics::{percentile_from_buckets, Counter, Gauge, Histogram, BUCKETS};
 pub use report::{render_report, ReportError};
 pub use span::SpanGuard;
 

@@ -69,7 +69,7 @@ impl Gauge {
 }
 
 /// Number of log₂ buckets: values 0, 1, 2–3, 4–7, … up to `u64::MAX`.
-pub(crate) const BUCKETS: usize = 65;
+pub const BUCKETS: usize = 65;
 
 #[derive(Debug)]
 pub(crate) struct HistogramInner {
@@ -114,6 +114,26 @@ impl Histogram {
         self.0.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Folds samples a caller counted locally into this histogram,
+    /// zeroes the locals and returns how many samples it added:
+    /// `buckets[i]` samples fell into bucket `i` (see
+    /// [`Histogram::bucket_of`]) and `sum` is their total. A hot loop
+    /// that counts into a plain array and calls this once per batch
+    /// pays a few relaxed RMWs per batch instead of three per sample;
+    /// the result is the same as observing each sample.
+    pub fn add_counts(&self, buckets: &mut [u64; BUCKETS], sum: &mut u64) -> u64 {
+        let mut count = 0;
+        for (mine, local) in self.0.buckets.iter().zip(buckets.iter_mut()) {
+            if *local > 0 {
+                mine.fetch_add(*local, Ordering::Relaxed);
+                count += std::mem::take(local);
+            }
+        }
+        self.0.count.fetch_add(count, Ordering::Relaxed);
+        self.0.sum.fetch_add(std::mem::take(sum), Ordering::Relaxed);
+        count
     }
 
     /// Number of samples recorded.
@@ -273,6 +293,31 @@ mod tests {
         );
         assert_eq!(a.count(), 7);
         assert_eq!(a.sum(), 3066);
+    }
+
+    #[test]
+    fn add_counts_matches_observing_and_zeroes_the_locals() {
+        let direct = Histogram::standalone();
+        let counted = Histogram::standalone();
+        counted.observe(5);
+        direct.observe(5);
+        let mut buckets = [0u64; BUCKETS];
+        let mut sum = 0u64;
+        for v in [0u64, 1, 7, 7, 1000, u64::MAX / 2] {
+            direct.observe(v);
+            buckets[Histogram::bucket_of(v)] += 1;
+            sum = sum.wrapping_add(v);
+        }
+        assert_eq!(counted.add_counts(&mut buckets, &mut sum), 6);
+        assert_eq!(counted.count(), direct.count());
+        assert_eq!(counted.sum(), direct.sum());
+        assert_eq!(counted.nonzero_buckets(), direct.nonzero_buckets());
+        assert_eq!(buckets, [0; BUCKETS]);
+        assert_eq!(sum, 0);
+        // Flushing empty locals changes nothing.
+        assert_eq!(counted.add_counts(&mut buckets, &mut sum), 0);
+        assert_eq!(counted.count(), direct.count());
+        assert_eq!(counted.sum(), direct.sum());
     }
 
     #[test]
