@@ -306,8 +306,7 @@ impl Shard {
         let at = self.delivery_at(now, from, to);
         let key = self.next_key(from);
         if self.is_local(to) {
-            self.engine
-                .schedule(at, key, NetEvent::Deliver { from, to, msg });
+            self.schedule(at, key, NetEvent::Deliver { from, to, msg });
         } else {
             let path = match msg.payload {
                 UpdatePayload::Announce(route) => Some(self.path_table.path(route).to_vec()),
@@ -342,14 +341,18 @@ impl Shard {
         }
         for (peer, prefix, at) in out.mrai_timers {
             let k = self.next_key(node);
-            self.engine
-                .schedule(at, k, NetEvent::MraiExpiry { node, peer, prefix });
+            self.schedule(at, k, NetEvent::MraiExpiry { node, peer, prefix });
         }
         for (peer, prefix, at) in out.reuse_timers {
             let k = self.next_key(node);
-            self.engine
-                .schedule(at, k, NetEvent::ReuseTimer { node, peer, prefix });
+            self.schedule(at, k, NetEvent::ReuseTimer { node, peer, prefix });
         }
+    }
+
+    /// Queues an event on this shard's timer wheel.
+    fn schedule(&mut self, at: SimTime, key: u64, event: NetEvent) {
+        let _wheel = rfd_obs::layer("sim.wheel");
+        self.engine.schedule(at, key, event);
     }
 
     fn handle(&mut self, at: SimTime, key: u64, event: NetEvent) {
@@ -373,6 +376,7 @@ impl Shard {
                 );
                 let l = self.local(to);
                 let mut out = RouterOutput::default();
+                let decision = rfd_obs::layer("bgp.decision");
                 self.routers[l].handle_update(
                     at,
                     from,
@@ -382,12 +386,14 @@ impl Shard {
                     &self.policy,
                     &mut out,
                 );
+                drop(decision);
                 self.apply_output(at, key, to, out);
             }
             NetEvent::MraiExpiry { node, peer, prefix } => {
                 rfd_obs::inc("bgp.mrai_expiries");
                 let l = self.local(node);
                 let mut out = RouterOutput::default();
+                let decision = rfd_obs::layer("bgp.decision");
                 self.routers[l].on_mrai_expiry(
                     at,
                     peer,
@@ -397,11 +403,13 @@ impl Shard {
                     &self.policy,
                     &mut out,
                 );
+                drop(decision);
                 self.apply_output(at, key, node, out);
             }
             NetEvent::ReuseTimer { node, peer, prefix } => {
                 let l = self.local(node);
                 let mut out = RouterOutput::default();
+                let decision = rfd_obs::layer("bgp.decision");
                 self.routers[l].on_reuse_timer(
                     at,
                     peer,
@@ -411,6 +419,7 @@ impl Shard {
                     &self.policy,
                     &mut out,
                 );
+                drop(decision);
                 self.apply_output(at, key, node, out);
             }
             NetEvent::OriginLink { origin, up, rc } => {
@@ -488,7 +497,12 @@ impl Shard {
     /// number processed.
     fn run_window(&mut self, end: SimTime) -> u64 {
         let before = self.engine.processed();
-        while let Some((at, key, event)) = self.engine.pop_before(end) {
+        loop {
+            let wheel = rfd_obs::layer("sim.wheel");
+            let Some((at, key, event)) = self.engine.pop_before(end) else {
+                break;
+            };
+            drop(wheel);
             self.handle(at, key, event);
         }
         self.engine.processed() - before
@@ -506,7 +520,7 @@ impl Shard {
             .with_root_cause(msg.root_cause)
             .with_degraded(msg.degraded);
         update.prefix = msg.prefix;
-        self.engine.schedule(
+        self.schedule(
             msg.at,
             msg.key,
             NetEvent::Deliver {
@@ -546,7 +560,7 @@ impl Shard {
             let at = self.delivery_at(SimTime::ZERO, origin, to);
             let key = self.next_key(origin);
             if self.is_local(to) {
-                self.engine.schedule(
+                self.schedule(
                     at,
                     key,
                     NetEvent::Deliver {
@@ -1050,8 +1064,10 @@ impl<S: TraceSink> Network<S> {
                         traces.extend(t);
                         records.extend(l);
                     }
+                    let emit = rfd_obs::layer("sink.emit");
                     feed_traces(&mut self.conv, &mut self.msgs, &mut self.sink, traces);
                     feed_ledger(self.ledger.as_mut(), records);
+                    drop(emit);
                     // `(at, key)` pairs are globally unique, so the
                     // unstable sort is a total order: the destination
                     // shards re-intern paths in canonical order.
@@ -1104,6 +1120,8 @@ impl<S: TraceSink> Network<S> {
                 cmd_txs.push(tx);
                 let reply_tx = reply_tx.clone();
                 scope.spawn(move || {
+                    // The worker's layer times flush into this span.
+                    let _obs_span = rfd_obs::span("sim.shard");
                     while let Ok(cmd) = rx.recv() {
                         match cmd {
                             Cmd::Window { end, inbox } => {
@@ -1165,8 +1183,10 @@ impl<S: TraceSink> Network<S> {
                         // was busy for its own slice.
                         let wall = dispatched.elapsed();
                         *stall += (wall * n as u32).saturating_sub(busy);
+                        let emit = rfd_obs::layer("sink.emit");
                         feed_traces(conv, msgs, sink, traces);
                         feed_ledger(ledger, records);
+                        drop(emit);
                         outmsgs.sort_unstable_by_key(|m: &RemoteMsg| (m.at, m.key));
                         for msg in outmsgs {
                             let dest = node_shard[msg.to.index()] as usize;

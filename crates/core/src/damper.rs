@@ -136,20 +136,16 @@ impl Damper {
     /// Charges an explicit penalty amount (used by the RCN/selective
     /// filters which may substitute the increment).
     pub fn charge_raw(&mut self, now: SimTime, amount: f64) -> ChargeOutcome {
-        let mut obs_span = rfd_obs::is_enabled().then(|| rfd_obs::span("damper.charge"));
+        let _layer = rfd_obs::layer("damper.charge");
         let value = self.penalty.charge(now, amount, &self.effective_params());
         let was_suppressed = self.suppressed;
         if value > self.params.cutoff_threshold() {
             self.suppressed = true;
         }
         let newly_suppressed = self.suppressed && !was_suppressed;
-        if let Some(span) = &mut obs_span {
-            span.sim_time_us(now.as_micros());
-            rfd_obs::inc("damper.charges");
-            if newly_suppressed {
-                rfd_obs::inc("damper.suppressions");
-                rfd_obs::mark("damper.suppressed");
-            }
+        rfd_obs::inc("damper.charges");
+        if newly_suppressed {
+            rfd_obs::inc("damper.suppressions");
         }
         ChargeOutcome {
             penalty: value,

@@ -426,7 +426,7 @@ impl DamperStore {
 
     fn charge_impl(&mut self, slot: u32, now: SimTime, amount: ChargeAmount) -> ChargeOutcome {
         self.check(slot);
-        let mut obs_span = rfd_obs::is_enabled().then(|| rfd_obs::span("damper.charge"));
+        let _layer = rfd_obs::layer("damper.charge");
         let i = slot as usize;
         let was_suppressed = self.flags[i] & SUPPRESSED != 0;
         let (value, suppressed) = match amount {
@@ -453,13 +453,9 @@ impl DamperStore {
             self.flags[i] |= SUPPRESSED;
         }
         let newly_suppressed = suppressed && !was_suppressed;
-        if let Some(span) = &mut obs_span {
-            span.sim_time_us(now.as_micros());
-            rfd_obs::inc("damper.charges");
-            if newly_suppressed {
-                rfd_obs::inc("damper.suppressions");
-                rfd_obs::mark("damper.suppressed");
-            }
+        rfd_obs::inc("damper.charges");
+        if newly_suppressed {
+            rfd_obs::inc("damper.suppressions");
         }
         let reuse_at = if suppressed && (self.tables.is_none() || newly_suppressed) {
             let at = now + self.time_until_reusable(slot, now);

@@ -291,7 +291,9 @@ pub fn run_with_telemetry(
 }
 
 /// One shard worker: drain, checkpoint, apply, repeat — wrapped in a
-/// recovery loop so injected panics lose no updates.
+/// recovery loop so injected panics lose no updates. The worker is one
+/// `firehose.shard` obs span, which takes over the damper layer's time
+/// when the worker ends.
 fn shard_worker(
     index: usize,
     queue: &SpscQueue<Update>,
@@ -301,6 +303,7 @@ fn shard_worker(
     end: SimTime,
     gauge: &ShardGauges,
 ) -> Aggregate {
+    let _obs_span = rfd_obs::span("firehose.shard");
     let chaos_key = format!("shard{index}");
     let mut state = ShardState::with_options(options);
     let mut batch: Vec<Update> = Vec::with_capacity(BATCH);
@@ -802,26 +805,6 @@ mod tests {
         assert!(report.decision_ns.sum() > 0);
     }
 
-    /// Runs `f` on its own thread and fails if it has not finished
-    /// within `deadline` — a hang becomes a test failure, not a stuck
-    /// suite.
-    fn within(deadline: Duration, f: impl FnOnce() + Send + 'static) {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            f();
-            let _ = done_tx.send(());
-        });
-        match done_rx.recv_timeout(deadline) {
-            Ok(()) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                panic!("firehose did not finish within {deadline:?}: deadlock")
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                panic!("firehose run panicked")
-            }
-        }
-    }
-
     /// Tiny queues keep the generator blocked on nearly every batch
     /// and the workers waking constantly, which is when a lost wake-up
     /// or a close/push race would hang. Many tiny runs, some with the
@@ -829,7 +812,7 @@ mod tests {
     /// agree with a one-shard reference.
     #[test]
     fn tiny_queues_never_deadlock() {
-        within(Duration::from_secs(60), || {
+        rfd_testkit::within("firehose", Duration::from_secs(60), || {
             for seed in 0..100u64 {
                 let mut base = config(1, WorkloadKind::FlapStorm);
                 base.spec.peers = 3;

@@ -2,12 +2,15 @@
 //!
 //! [`write_trace`] emits one JSON object with a `traceEvents` array in
 //! the Chrome trace-event format — `ph:"B"`/`"E"` duration records per
-//! span, `ph:"i"` instants for marks and `ph:"C"` counter records — so
-//! the file opens directly in Perfetto or `chrome://tracing`. The same
-//! object carries `counters`, `histograms` and `spans` summary sections
-//! (extra top-level keys are ignored by trace viewers), which is what
-//! `rfd obs-report` pretty-prints.
+//! span, one `ph:"X"` record per layer of a span (its `calls` and
+//! `self_ns` as arguments), `ph:"i"` instants for marks and `ph:"C"`
+//! counter records — so the file opens directly in Perfetto or
+//! `chrome://tracing`. The same object carries `counters`,
+//! `histograms`, `spans` and `layers` summary sections (extra top-level
+//! keys are ignored by trace viewers), which is what `rfd obs-report`
+//! pretty-prints.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -36,96 +39,166 @@ pub(crate) fn encode_str(s: &str) -> String {
     out
 }
 
-fn push_span_args(out: &mut String, record: &SpanRecord) {
-    if let Some(sim_us) = record.sim_us {
-        let _ = write!(out, ",\"args\":{{\"sim_us\":{sim_us}}}");
+/// Nanoseconds written as microseconds with three decimals, the unit
+/// of trace-event timestamps.
+struct Us(u64);
+
+impl std::fmt::Display for Us {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
     }
 }
 
-/// Appends the `ph:"B"/"E"/"i"` records of one thread, properly nested.
+/// Writes the `,\n` separator before every record but the first.
+fn sep(out: &mut String, first: &mut bool) {
+    if !*first {
+        out.push_str(",\n");
+    }
+    *first = false;
+}
+
+/// Appends one `ph:"X"` record per layer of `span`, laid end to end from
+/// the span's start and skipped past its nested spans (`children`), so
+/// each layer reads as a slice of the span's own time.
+fn push_layers(
+    out: &mut String,
+    tid: usize,
+    span: &SpanRecord,
+    children: &[(u64, u64)],
+    first: &mut bool,
+) {
+    let mut at = span.start_ns;
+    for layer in &span.layers {
+        while let Some(&(_, end)) = children
+            .iter()
+            .find(|&&(start, end)| start < at + layer.self_ns && end > at)
+        {
+            at = end;
+        }
+        sep(out, first);
+        let _ = write!(
+            out,
+            "{{\"name\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{tid},\"args\":{{\"calls\":{},\"self_ns\":{}}}}}",
+            encode_str(layer.name),
+            Us(at),
+            Us(layer.self_ns),
+            layer.calls,
+            layer.self_ns
+        );
+        at += layer.self_ns;
+    }
+}
+
+/// Open spans during [`push_thread_events`]: each record with the
+/// intervals of its direct children.
+type OpenSpans<'a> = Vec<(&'a SpanRecord, Vec<(u64, u64)>)>;
+
+/// Closes every open span that ends by `now`: its layer records, then
+/// its `E` record.
+fn close_through(
+    out: &mut String,
+    tid: usize,
+    open: &mut OpenSpans<'_>,
+    now: u64,
+    first: &mut bool,
+) {
+    while let Some(&(r, _)) = open.last() {
+        let end = r.start_ns + r.dur_ns.unwrap_or(0);
+        if end > now {
+            break;
+        }
+        let (_, children) = open.pop().expect("checked non-empty");
+        push_layers(out, tid, r, &children, first);
+        sep(out, first);
+        let _ = write!(
+            out,
+            "{{\"name\":{},\"ph\":\"E\",\"ts\":{},\"pid\":1,\"tid\":{tid}}}",
+            encode_str(r.name),
+            Us(end)
+        );
+    }
+}
+
+/// Appends the `ph:"B"/"E"/"i"` records of one thread, properly nested,
+/// with each span's layers as `ph:"X"` records inside it.
 ///
 /// Records arrive in completion order (children complete before
 /// parents). Re-sorting by `(start, -dur)` yields begin order; a stack
-/// of pending end-times then interleaves the `E` records so every
-/// `B`/`E` pair nests correctly even without viewer-side sorting.
+/// of open spans then interleaves the `E` records so every `B`/`E` pair
+/// nests correctly even without viewer-side sorting.
 fn push_thread_events(out: &mut String, tid: usize, records: &[SpanRecord], first: &mut bool) {
     let mut sorted: Vec<&SpanRecord> = records.iter().collect();
-    sorted.sort_by_key(|r| (r.start_us, std::cmp::Reverse(r.dur_us.unwrap_or(0))));
-
-    let mut sep = |out: &mut String| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-    };
-    // Stack of (name, end_us) for open B records.
-    let mut open: Vec<(&'static str, u64)> = Vec::new();
-    let close_through = |out: &mut String,
-                         open: &mut Vec<(&'static str, u64)>,
-                         now: u64,
-                         sep: &mut dyn FnMut(&mut String)| {
-        while let Some(&(name, end)) = open.last() {
-            if end > now {
-                break;
-            }
-            open.pop();
-            sep(out);
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"ph\":\"E\",\"ts\":{end},\"pid\":1,\"tid\":{tid}}}",
-                encode_str(name)
-            );
-        }
-    };
+    sorted.sort_by_key(|r| (r.start_ns, std::cmp::Reverse(r.dur_ns.unwrap_or(0))));
+    let mut open: OpenSpans<'_> = Vec::new();
     for r in sorted {
-        close_through(out, &mut open, r.start_us, &mut sep);
-        match r.dur_us {
+        close_through(out, tid, &mut open, r.start_ns, first);
+        sep(out, first);
+        match r.dur_ns {
             Some(dur) => {
-                sep(out);
+                if let Some((_, children)) = open.last_mut() {
+                    children.push((r.start_ns, r.start_ns + dur));
+                }
                 let _ = write!(
                     out,
                     "{{\"name\":{},\"ph\":\"B\",\"ts\":{},\"pid\":1,\"tid\":{tid}",
                     encode_str(r.name),
-                    r.start_us
+                    Us(r.start_ns)
                 );
-                push_span_args(out, r);
+                if let Some(sim_us) = r.sim_us {
+                    let _ = write!(out, ",\"args\":{{\"sim_us\":{sim_us}}}");
+                }
                 out.push('}');
-                open.push((r.name, r.start_us + dur));
+                open.push((r, Vec::new()));
             }
             None => {
-                sep(out);
                 let _ = write!(
                     out,
                     "{{\"name\":{},\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":{tid},\"s\":\"t\"}}",
                     encode_str(r.name),
-                    r.start_us
+                    Us(r.start_ns)
                 );
             }
         }
     }
-    close_through(out, &mut open, u64::MAX, &mut sep);
+    close_through(out, tid, &mut open, u64::MAX, first);
 }
 
-/// Per-span-name aggregates across all threads.
-fn span_aggregates() -> std::collections::BTreeMap<&'static str, (u64, u64, u64)> {
-    let mut agg: std::collections::BTreeMap<&'static str, (u64, u64, u64)> = Default::default();
+/// Per-span-name totals across all threads.
+#[derive(Debug, Default)]
+struct SpanAgg {
+    count: u64,
+    total_ns: u64,
+    max_ns: u64,
+    nested_ns: u64,
+    /// Layer name → (calls, self ns).
+    layers: BTreeMap<&'static str, (u64, u64)>,
+}
+
+fn span_aggregates() -> BTreeMap<&'static str, SpanAgg> {
+    let mut agg: BTreeMap<&'static str, SpanAgg> = BTreeMap::new();
     for buf in registry::global().thread_bufs() {
         let events = lock_unpoisoned(&buf.events);
         for r in &events.spans {
-            if let Some(dur) = r.dur_us {
-                let entry = agg.entry(r.name).or_insert((0, 0, 0));
-                entry.0 += 1;
-                entry.1 += dur;
-                entry.2 = entry.2.max(dur);
+            let Some(dur) = r.dur_ns else { continue };
+            let entry = agg.entry(r.name).or_default();
+            entry.count += 1;
+            entry.total_ns += dur;
+            entry.max_ns = entry.max_ns.max(dur);
+            entry.nested_ns += r.nested_ns;
+            for layer in &r.layers {
+                let totals = entry.layers.entry(layer.name).or_insert((0, 0));
+                totals.0 += layer.calls;
+                totals.1 += layer.self_ns;
             }
         }
     }
     agg
 }
 
-/// The summary sections (`counters`, `histograms`, `spans`, `meta`) as
-/// the body of a JSON object — without the surrounding braces, so it
-/// can be embedded into the trace file or wrapped standalone.
+/// The summary sections (`counters`, `histograms`, `spans`, `layers`,
+/// `meta`) as the body of a JSON object — without the surrounding
+/// braces, so it can be embedded into the trace file or wrapped
+/// standalone.
 fn summary_body() -> String {
     let reg = registry::global();
     let mut out = String::new();
@@ -170,16 +243,50 @@ fn summary_body() -> String {
         out.push_str("]}");
     }
     drop(histograms);
+    let spans = span_aggregates();
     out.push_str("},\n\"spans\":{");
-    for (i, (name, (count, total_us, max_us))) in span_aggregates().iter().enumerate() {
+    for (i, (name, span)) in spans.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "{}:{{\"count\":{count},\"total_us\":{total_us},\"max_us\":{max_us}}}",
-            encode_str(name)
+            "{}:{{\"count\":{},\"total_us\":{},\"max_us\":{}}}",
+            encode_str(name),
+            span.count,
+            Us(span.total_ns),
+            Us(span.max_ns)
         );
+    }
+    // Where each span kind's wall time went: its layers' self time, the
+    // spans nested in it, and (by subtraction) the unattributed rest.
+    out.push_str("},\n\"layers\":{");
+    let attributed = spans
+        .iter()
+        .filter(|(_, span)| !span.layers.is_empty() || span.nested_ns > 0);
+    for (i, (name, span)) in attributed.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{}:{{\"count\":{},\"span_ns\":{},\"nested_ns\":{},\"layers\":{{",
+            encode_str(name),
+            span.count,
+            span.total_ns,
+            span.nested_ns
+        );
+        for (j, (layer, (calls, self_ns))) in span.layers.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{}:{{\"calls\":{calls},\"self_ns\":{self_ns}}}",
+                encode_str(layer)
+            );
+        }
+        out.push_str("}}");
     }
     out.push_str("},\n\"meta\":{");
     let bufs = reg.thread_bufs();
@@ -212,13 +319,10 @@ pub fn render_trace() -> String {
         push_thread_events(&mut out, buf.tid, &events.spans, &mut first);
     }
     // Counter final values as ph:"C" records on a synthetic tid.
-    let now = reg.now_us();
+    let now = Us(reg.now_ns());
     let counters = lock_unpoisoned(&reg.counters);
     for (name, c) in counters.iter() {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
+        sep(&mut out, &mut first);
         let _ = write!(
             out,
             "{{\"name\":{},\"ph\":\"C\",\"ts\":{now},\"pid\":1,\"tid\":0,\"args\":{{\"value\":{}}}}}",
@@ -252,29 +356,28 @@ pub fn write_trace(path: &Path) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::json::{parse, Value};
+    use crate::layer::LayerTotal;
 
     #[test]
     fn nested_spans_emit_balanced_b_e_pairs() {
         let records = vec![
             // Child completes first (recorded first), parent second.
             SpanRecord {
-                name: "child",
-                start_us: 10,
-                dur_us: Some(5),
-                sim_us: None,
+                dur_ns: Some(5_000),
+                ..SpanRecord::mark("child", 10_000)
             },
             SpanRecord {
-                name: "parent",
-                start_us: 0,
-                dur_us: Some(100),
+                dur_ns: Some(100_000),
                 sim_us: Some(7),
+                layers: vec![LayerTotal {
+                    name: "layer",
+                    calls: 3,
+                    self_ns: 20_000,
+                }],
+                nested_ns: 5_000,
+                ..SpanRecord::mark("parent", 0)
             },
-            SpanRecord {
-                name: "mark",
-                start_us: 50,
-                dur_us: None,
-                sim_us: None,
-            },
+            SpanRecord::mark("mark", 50_000),
         ];
         let mut out = String::new();
         let mut first = true;
@@ -300,6 +403,7 @@ mod tests {
                 ("child".into(), "B".into()),
                 ("child".into(), "E".into()),
                 ("mark".into(), "i".into()),
+                ("layer".into(), "X".into()),
                 ("parent".into(), "E".into()),
             ]
         );
@@ -312,6 +416,16 @@ mod tests {
                 .and_then(Value::as_f64),
             Some(7.0)
         );
+        // The layer slice starts past the nested child (10–15 µs) and
+        // carries its totals.
+        let layer = &events[4];
+        let num = |e: &Value, key: &str| e.get(key).and_then(Value::as_f64);
+        assert_eq!(num(layer, "ts"), Some(15.0));
+        assert_eq!(num(layer, "dur"), Some(20.0));
+        let args = layer.get("args").unwrap();
+        assert_eq!(args.get("calls").and_then(Value::as_u64), Some(3));
+        assert_eq!(args.get("self_ns").and_then(Value::as_u64), Some(20_000));
+        assert_eq!(num(&events[5], "ts"), Some(100.0));
     }
 
     #[test]

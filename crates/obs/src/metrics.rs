@@ -172,7 +172,7 @@ impl Histogram {
     /// A free-standing histogram owned by the caller rather than the
     /// global registry. [`Histogram::observe`] always records, so this
     /// lets a harness measure one hot path without enabling global
-    /// observability (which would also time every damper span).
+    /// observability (which would also time every damper charge).
     pub fn standalone() -> Self {
         Histogram::new()
     }

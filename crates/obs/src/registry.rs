@@ -38,9 +38,13 @@ pub(crate) const SPAN_CAP: usize = 1 << 20;
 /// Flight-recorder ring length per thread.
 pub(crate) const RING_CAP: usize = 4096;
 
+/// Whether recording is on. A plain static rather than a registry
+/// field, so the check every entry point starts with is one relaxed
+/// load with no lazy-initialisation test in front of it.
+pub(crate) static ENABLED: AtomicBool = AtomicBool::new(false);
+
 #[derive(Debug)]
 pub(crate) struct Registry {
-    pub(crate) enabled: AtomicBool,
     pub(crate) generation: AtomicU64,
     pub(crate) epoch: Instant,
     pub(crate) counters: Mutex<BTreeMap<&'static str, Counter>>,
@@ -53,7 +57,6 @@ pub(crate) struct Registry {
 impl Registry {
     fn new() -> Self {
         Registry {
-            enabled: AtomicBool::new(false),
             generation: AtomicU64::new(0),
             epoch: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
@@ -64,10 +67,15 @@ impl Registry {
         }
     }
 
-    /// Microseconds since the registry was created; the time base of
-    /// every exported event.
-    pub(crate) fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+    /// Nanoseconds from the registry's creation to `at`; the time base
+    /// of every exported event.
+    pub(crate) fn ns_since_epoch(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
+    /// Nanoseconds since the registry was created.
+    pub(crate) fn now_ns(&self) -> u64 {
+        self.ns_since_epoch(Instant::now())
     }
 
     pub(crate) fn counter(&self, name: &'static str) -> Counter {

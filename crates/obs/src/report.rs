@@ -48,33 +48,78 @@ fn fmt_us(us: f64) -> String {
 
 fn span_section(out: &mut String, spans: &Value) {
     let Some(map) = spans.as_object() else { return };
-    let mut rows: Vec<(&str, u64, u64, u64)> = map
+    let mut rows: Vec<(&str, u64, f64, f64)> = map
         .iter()
         .filter_map(|(name, v)| {
             Some((
                 name.as_str(),
                 v.get("count")?.as_u64()?,
-                v.get("total_us")?.as_u64()?,
-                v.get("max_us")?.as_u64()?,
+                v.get("total_us")?.as_f64()?,
+                v.get("max_us")?.as_f64()?,
             ))
         })
         .collect();
-    rows.sort_by_key(|&(_, _, total_us, _)| std::cmp::Reverse(total_us));
+    rows.sort_by(|a, b| b.2.total_cmp(&a.2));
     out.push_str(&format!("top spans by total time (of {}):\n", rows.len()));
     out.push_str(&format!(
         "  {:<32} {:>10} {:>12} {:>12} {:>12}\n",
         "span", "count", "total", "mean", "max"
     ));
     for (name, count, total_us, max_us) in rows.into_iter().take(TOP_SPANS) {
-        let mean = total_us as f64 / count.max(1) as f64;
+        let mean = total_us / count.max(1) as f64;
         out.push_str(&format!(
             "  {:<32} {:>10} {:>12} {:>12} {:>12}\n",
             name,
             count,
-            fmt_us(total_us as f64),
+            fmt_us(total_us),
             fmt_us(mean),
-            fmt_us(max_us as f64)
+            fmt_us(max_us)
         ));
+    }
+}
+
+/// One table per span kind: its layers' self time, the spans nested in
+/// it and the unattributed rest — rows that sum to the span's wall time.
+fn layer_section(out: &mut String, layers: &Value) {
+    let Some(map) = layers.as_object() else {
+        return;
+    };
+    for (span, v) in map {
+        let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+        let (count, span_ns, nested_ns) = (num(v, "count"), num(v, "span_ns"), num(v, "nested_ns"));
+        let mut rows: Vec<(String, Option<u64>, u64)> = v
+            .get("layers")
+            .and_then(Value::as_object)
+            .into_iter()
+            .flatten()
+            .map(|(name, l)| (name.clone(), Some(num(l, "calls")), num(l, "self_ns")))
+            .collect();
+        rows.sort_by_key(|&(_, _, ns)| std::cmp::Reverse(ns));
+        let layered: u64 = rows.iter().map(|&(_, _, ns)| ns).sum();
+        if nested_ns > 0 {
+            rows.push(("nested spans".to_owned(), None, nested_ns));
+        }
+        let unattributed = span_ns.saturating_sub(layered + nested_ns);
+        rows.push(("unattributed".to_owned(), None, unattributed));
+        out.push_str(&format!(
+            "where {span} time went ({count} span{}, {} wall):\n",
+            if count == 1 { "" } else { "s" },
+            fmt_us(span_ns as f64 / 1000.0)
+        ));
+        out.push_str(&format!(
+            "  {:<32} {:>12} {:>12} {:>8}\n",
+            "layer", "calls", "self", "share"
+        ));
+        for (name, calls, ns) in rows {
+            out.push_str(&format!(
+                "  {:<32} {:>12} {:>12} {:>7.1}%\n",
+                name,
+                calls.map_or_else(String::new, |c| c.to_string()),
+                fmt_us(ns as f64 / 1000.0),
+                100.0 * ns as f64 / span_ns.max(1) as f64
+            ));
+        }
+        out.push('\n');
     }
 }
 
@@ -142,8 +187,9 @@ fn histogram_section(out: &mut String, histograms: &Value) {
 }
 
 /// Renders a human-readable report from the text of a saved obs file
-/// (either a full trace file or a bare summary): a counter table, the
-/// top spans by total time, and histogram sketches.
+/// (either a full trace file or a bare summary): the top spans by total
+/// time, where each span kind's time went by layer, a counter table and
+/// histogram sketches.
 ///
 /// # Errors
 ///
@@ -173,6 +219,9 @@ pub fn render_report(text: &str) -> Result<String, ReportError> {
         span_section(&mut out, spans);
         out.push('\n');
     }
+    if let Some(layers) = doc.get("layers") {
+        layer_section(&mut out, layers);
+    }
     if let Some(counters) = counters {
         counter_section(&mut out, counters);
         out.push('\n');
@@ -196,8 +245,14 @@ mod tests {
         "gauges": {"firehose.queue_depth": -2, "firehose.live_entries": 31},
         "histograms": {"sim.scheduler_depth": {"count": 4, "sum": 22, "buckets": [[4, 3], [8, 1]]}},
         "spans": {
-            "sim.run": {"count": 2, "total_us": 5000000, "max_us": 3000000},
-            "runner.cell": {"count": 8, "total_us": 900, "max_us": 200}
+            "sim.run": {"count": 2, "total_us": 5000000.000, "max_us": 3000000.000},
+            "runner.cell": {"count": 8, "total_us": 900.250, "max_us": 200.125}
+        },
+        "layers": {
+            "sim.run": {"count": 2, "span_ns": 5000000000, "nested_ns": 0, "layers": {
+                "damper.charge": {"calls": 40, "self_ns": 1000000000},
+                "bgp.decision": {"calls": 90, "self_ns": 3000000000}
+            }}
         },
         "meta": {"threads": 2, "dropped_spans": 0}
     }"#;
@@ -222,6 +277,21 @@ mod tests {
             report.find("sim.run").unwrap() < report.find("runner.cell").unwrap(),
             "{report}"
         );
+        // The layer table: largest layer first, then the unattributed
+        // remainder (5 s − 3 s − 1 s).
+        assert!(
+            report.contains("where sim.run time went (2 spans, 5.00s wall)"),
+            "{report}"
+        );
+        let decision = report.find("bgp.decision").unwrap();
+        let damper = report.find("damper.charge").unwrap();
+        let rest = report.find("unattributed").unwrap();
+        assert!(decision < damper && damper < rest, "{report}");
+        assert!(
+            report.contains("60.0%") && report.contains("20.0%"),
+            "{report}"
+        );
+        assert!(!report.contains("nested spans"), "{report}");
     }
 
     #[test]
@@ -246,6 +316,7 @@ mod tests {
         crate::observe("report.hist", 9);
         {
             let _s = crate::span("report.span");
+            let _l = crate::layer("report.layer");
         }
         let summary = crate::summary_json();
         crate::disable();
@@ -255,5 +326,8 @@ mod tests {
         assert!(report.contains("report.gauge"), "{report}");
         assert!(report.contains("report.hist"), "{report}");
         assert!(report.contains("report.span"), "{report}");
+        assert!(report.contains("where report.span time went"), "{report}");
+        assert!(report.contains("report.layer"), "{report}");
+        assert!(report.contains("unattributed"), "{report}");
     }
 }

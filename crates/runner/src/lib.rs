@@ -852,6 +852,56 @@ mod tests {
         assert!(observed.failures().is_empty());
     }
 
+    /// Sweeps about as long as one heartbeat period stop their monitor
+    /// while it is parked, mid-print or not yet started, which is when a
+    /// lost wake-up in the `MonitorStopper` would hang the scope's join.
+    /// Many tiny sweeps under a 1 ms heartbeat (a fifth of them slowed
+    /// past one period, so the monitor prints), a third of them with
+    /// injected cell panics (healed by a retry, or quarantined), must
+    /// all finish and all agree with a sequential reference.
+    #[test]
+    fn tiny_heartbeat_sweeps_never_deadlock() {
+        rfd_testkit::within("heartbeat sweep", Duration::from_secs(60), || {
+            let grid = demo_grid();
+            let reference = run_grid(&grid, &RunnerConfig::sequential(), demo_exec).unwrap();
+            let key = "beta|n=4|seed=20";
+            let victim = grid.cells().iter().position(|c| c.key() == key).unwrap();
+            for round in 0..600 {
+                let mut config =
+                    RunnerConfig::with_threads(2 + round % 2).heartbeat(Duration::from_millis(1));
+                // Panics on the first attempts: one is healed by the
+                // retry, three exhaust it.
+                let panics = match round % 6 {
+                    0 => 1,
+                    3 => 3,
+                    _ => 0,
+                };
+                if panics > 0 {
+                    let plan = ChaosPlan::parse(&format!("panic*{panics}@{key}")).unwrap();
+                    config = config.retries(1).chaos(plan);
+                }
+                let out = run_grid(&grid, &config, |scale: &f64, cell: &Cell| {
+                    if round % 5 == 1 {
+                        std::thread::sleep(Duration::from_micros(150));
+                    }
+                    demo_exec(scale, cell)
+                })
+                .unwrap();
+                if panics == 3 {
+                    assert_eq!(out.failures().len(), 1, "round {round}");
+                    assert!(out.is_failed(victim), "round {round}");
+                } else {
+                    assert!(out.failures().is_empty(), "round {round}");
+                }
+                for (i, (got, want)) in out.metrics().iter().zip(reference.metrics()).enumerate() {
+                    if i != victim || panics < 3 {
+                        assert_eq!(got, want, "round {round} cell {i}");
+                    }
+                }
+            }
+        });
+    }
+
     #[test]
     fn format_heartbeat_reports_progress_and_eta() {
         let line = format_heartbeat(10, 40, 5.0, &[2, 7], FaultTotals::default());

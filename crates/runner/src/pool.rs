@@ -251,31 +251,11 @@ mod tests {
         assert_eq!(out.len(), 12);
     }
 
-    /// Runs `f` on a helper thread and fails if it has not returned
-    /// within `deadline`, so a hang fails the test instead of stalling
-    /// the suite.
-    fn within<F: FnOnce() + Send + 'static>(deadline: std::time::Duration, f: F) {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            f();
-            let _ = done_tx.send(());
-        });
-        match done_rx.recv_timeout(deadline) {
-            Ok(()) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                panic!("pool did not finish within {deadline:?}: deadlock")
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                panic!("pool run panicked")
-            }
-        }
-    }
-
     #[test]
     fn tiny_pools_never_deadlock() {
         // Many workers going idle at once is when they all reach for
         // each other's queues; tiny jobs make that happen constantly.
-        within(std::time::Duration::from_secs(60), || {
+        rfd_testkit::within("pool", std::time::Duration::from_secs(60), || {
             for _ in 0..2_000 {
                 for threads in [2, 4] {
                     let out = execute(threads, 10, |j| j * j);

@@ -20,6 +20,10 @@
 //! up to 8 elements, [`Just`], [`any`], [`collection::vec`],
 //! `prop_oneof!`, `prop_map`, `prop_filter`, `prop_filter_map`,
 //! `prop_assert!`, `prop_assert_eq!`, `prop_assert_ne!`, `prop_assume!`.
+//!
+//! Beside the proptest subset, [`within`] bounds a concurrency stress
+//! test by a deadline, so a deadlock fails the test instead of stalling
+//! the suite.
 
 #![warn(missing_docs)]
 
@@ -482,6 +486,29 @@ where
 }
 
 // ---------------------------------------------------------------------
+// Deadlines
+// ---------------------------------------------------------------------
+
+/// Runs `f` on a helper thread and panics if it has not returned within
+/// `deadline`, naming `what` — a hang becomes a test failure, not a
+/// stuck suite. A panic inside `f` fails the test too.
+pub fn within(what: &str, deadline: std::time::Duration, f: impl FnOnce() + Send + 'static) {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(deadline) {
+        Ok(()) => {}
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{what} did not finish within {deadline:?}: deadlock")
+        }
+        Err(RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+    }
+}
+
+// ---------------------------------------------------------------------
 // Macros
 // ---------------------------------------------------------------------
 
@@ -652,6 +679,27 @@ mod tests {
     fn failures_panic_with_context() {
         run_cases(ProptestConfig::with_cases(2), "always_fails", |_| {
             Err(TestCaseError::Fail("boom".into()))
+        });
+    }
+
+    #[test]
+    fn within_passes_a_prompt_run() {
+        within("a prompt run", std::time::Duration::from_secs(10), || {});
+    }
+
+    #[test]
+    #[should_panic(expected = "a parked run did not finish within")]
+    fn within_fails_a_hang() {
+        within("a parked run", std::time::Duration::from_millis(20), || {
+            std::thread::sleep(std::time::Duration::from_secs(5))
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a failing run panicked")]
+    fn within_fails_a_panic() {
+        within("a failing run", std::time::Duration::from_secs(10), || {
+            panic!("boom")
         });
     }
 
